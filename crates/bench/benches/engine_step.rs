@@ -1,7 +1,7 @@
 //! Whole-engine benchmarks: global-step time across placements — the
 //! wall-clock claim behind Fig 10's "EasyScale throughput is flat in the
-//! EST count" (per logical worker), plus the parallel-worker speedup of the
-//! crossbeam execution path.
+//! EST count" (per logical worker), across GPU counts and workload
+//! families on the default (pool) backend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use device::GpuType;

@@ -223,42 +223,31 @@ fn run_suite(opts: &SuiteOpts) -> Vec<BenchResult> {
         }
     }
 
-    // One full global step, persistent pool vs per-step scoped threads —
-    // the PR6 claim: reusing worker threads beats respawning W of them
-    // every step, and the margin grows with W. Identical job, identical
-    // placement; only the execution backend differs (and the math is
-    // bitwise identical, see faultsim/tests/nthread_eq_single.rs).
+    // One full global step on the persistent pool (the default backend):
+    // the engine's per-step fan-out, drain, reduce and apply round trips at
+    // W workers. The math is bitwise identical to the single-thread engine
+    // (faultsim/tests/nthread_eq_single.rs).
     for workers in [4u32, 8] {
-        let pool_name = format!("engine_step_pool_w{workers}");
-        let scoped_name = format!("engine_step_scoped_w{workers}");
-        if !selected(&pool_name) && !selected(&scoped_name) {
+        let name = format!("engine_step_pool_w{workers}");
+        if !selected(&name) {
             continue;
         }
-        let step_engine = |mode: ExecMode| {
-            let cfg = JobConfig::new(Workload::NeuMF, 7, workers)
-                .with_dataset_len(512)
-                .with_batch_size(1);
-            let exec =
-                ExecOptions { mode, device_ids: (0..workers).collect(), ..ExecOptions::default() };
-            let mut e =
-                Engine::new_opts(cfg, Placement::one_est_per_gpu(workers, GpuType::V100), exec);
-            e.step(); // warm: first step rebuilds the bucket layout
-            e
+        let cfg =
+            JobConfig::new(Workload::NeuMF, 7, workers).with_dataset_len(512).with_batch_size(1);
+        let exec = ExecOptions {
+            mode: ExecMode::Pool,
+            device_ids: (0..workers).collect(),
+            ..ExecOptions::default()
         };
-        for (mode, tag) in [(ExecMode::Pool, "pool"), (ExecMode::Scoped, "scoped")] {
-            let name = format!("engine_step_{tag}_w{workers}");
-            if !selected(&name) {
-                continue;
-            }
-            let mut e = step_engine(mode);
-            record(
-                &name,
-                scale(10),
-                measure(samples, scale(10), scale(3), || {
-                    black_box(e.step());
-                }),
-            );
-        }
+        let mut e = Engine::new_opts(cfg, Placement::one_est_per_gpu(workers, GpuType::V100), exec);
+        e.step(); // warm: first step rebuilds the bucket layout
+        record(
+            &name,
+            scale(10),
+            measure(samples, scale(10), scale(3), || {
+                black_box(e.step());
+            }),
+        );
     }
 
     out

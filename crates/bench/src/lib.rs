@@ -5,7 +5,6 @@
 #![deny(missing_docs)]
 
 pub mod gate;
-pub mod trend;
 
 use serde::Serialize;
 use std::fs;

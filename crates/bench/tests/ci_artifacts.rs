@@ -4,10 +4,9 @@
 //! bench gate's `BENCH_PR*.json` ([`GateReport`], the only one with a typed
 //! deserializer and a back-compat story), detlint's per-mode
 //! `results/{taint,concur,accum}_report.json` plus the combined-run
-//! `results/detlint_modes.json` and `results/detlint.sarif` (SARIF 2.1.0,
-//! the interchange format external viewers consume), and the pipeline's own
-//! `results/ci_report.json`. Nothing used to check that the
-//! shapes the writers emit are the shapes the readers (bench_trend, the
+//! `results/detlint_modes.json`, and the pipeline's own
+//! `results/ci_report.json`. Nothing used to check that the shapes the
+//! writers emit are the shapes the readers (the CI gate stages, the bench
 //! gate, EXPERIMENTS tooling, humans with `jq`) assume — a renamed field
 //! would surface as a confusing downstream failure PRs later. These tests
 //! pin every schema against committed fixtures (`tests/fixtures/`),
@@ -19,6 +18,14 @@
 use bench::gate::{load_baseline, GateReport, HostFingerprint};
 use serde::Value;
 use std::path::{Path, PathBuf};
+
+/// `BENCH_PR<N>.json`: a committed bench-gate report.
+fn is_bench_report(file_name: &str) -> bool {
+    file_name
+        .strip_prefix("BENCH_PR")
+        .and_then(|rest| rest.strip_suffix(".json"))
+        .is_some_and(|n| n.parse::<u32>().is_ok())
+}
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -142,7 +149,7 @@ fn check_ci_report(v: &Value, what: &str) {
     }
 }
 
-/// `results/taint_report.json` (written by `detlint --taint`): count,
+/// `results/taint_report.json` (written by `detlint --out-dir`): count,
 /// flows with source/sink/path witnesses, stale suppressions.
 fn check_taint_report(v: &Value, what: &str) {
     expect_u64(v, "count", what);
@@ -175,7 +182,7 @@ fn check_taint_report(v: &Value, what: &str) {
     }
 }
 
-/// `results/concur_report.json` (written by `detlint --concurrency`):
+/// `results/concur_report.json` (written by `detlint --out-dir`):
 /// count, findings/warnings with witness paths, role tallies, blocking-op
 /// inventory.
 fn check_concur_report(v: &Value, what: &str) {
@@ -210,7 +217,7 @@ fn check_concur_report(v: &Value, what: &str) {
     }
 }
 
-/// `results/accum_report.json` (written by `detlint --accum`): count,
+/// `results/accum_report.json` (written by `detlint --out-dir`): count,
 /// findings with span witnesses, the loop inventory, oracle checks, stale
 /// suppressions.
 fn check_accum_report(v: &Value, what: &str) {
@@ -260,7 +267,7 @@ fn check_accum_report(v: &Value, what: &str) {
     }
 }
 
-/// `results/detlint_modes.json` (written by `detlint --all`): the per-mode
+/// `results/detlint_modes.json` (written by `detlint --out-dir`): the per-mode
 /// status breakdown ci.sh reads to keep per-stage granularity after the
 /// three detlint stages collapsed into one combined run.
 fn check_detlint_modes(v: &Value, what: &str) {
@@ -281,64 +288,6 @@ fn check_detlint_modes(v: &Value, what: &str) {
         any_dirty |= st == "dirty";
     }
     assert_eq!(status == "dirty", any_dirty, "{what}: overall status must agree with modes");
-}
-
-/// `results/detlint.sarif` (written by any mode's `--sarif`): a SARIF
-/// 2.1.0 document, one run per analysis mode, each result carrying rule id,
-/// severity, message, and at least one physical location.
-fn check_sarif(v: &Value, what: &str) {
-    assert_eq!(
-        field(v, "$schema", what).as_str(),
-        Some("https://json.schemastore.org/sarif-2.1.0.json"),
-        "{what}: wrong $schema"
-    );
-    assert_eq!(field(v, "version", what).as_str(), Some("2.1.0"), "{what}: wrong version");
-    let runs = as_seq(field(v, "runs", what), what);
-    assert!(!runs.is_empty(), "{what}: a SARIF document with no runs");
-    let check_location = |loc: &Value| {
-        let phys = field(loc, "physicalLocation", what);
-        expect_str(field(phys, "artifactLocation", what), "uri", what);
-        expect_u64(field(phys, "region", what), "startLine", what);
-    };
-    for run in runs {
-        let driver = field(field(run, "tool", what), "driver", what);
-        assert_eq!(field(driver, "name", what).as_str(), Some("detlint"), "{what}: tool name");
-        expect_str(driver, "version", what);
-        let rules = as_seq(field(driver, "rules", what), what);
-        assert!(!rules.is_empty(), "{what}: a run must declare its rule catalog");
-        let ids: Vec<&str> = rules
-            .iter()
-            .map(|r| {
-                expect_str(field(r, "shortDescription", what), "text", what);
-                field(r, "id", what).as_str().expect("rule id is a string")
-            })
-            .collect();
-        let mode =
-            field(field(run, "properties", what), "mode", what).as_str().expect("mode is a string");
-        assert!(
-            ["leaf", "taint", "concur", "accum"].contains(&mode),
-            "{what}: unknown run mode {mode}"
-        );
-        for res in as_seq(field(run, "results", what), what) {
-            let rule_id = field(res, "ruleId", what).as_str().expect("ruleId is a string");
-            assert!(ids.contains(&rule_id), "{what}: result cites undeclared rule {rule_id}");
-            let level = field(res, "level", what).as_str().expect("level is a string");
-            assert!(
-                level == "note" || level == "warning" || level == "error",
-                "{what}: unknown level {level}"
-            );
-            expect_str(field(res, "message", what), "text", what);
-            let locations = as_seq(field(res, "locations", what), what);
-            assert!(!locations.is_empty(), "{what}: a result without a location");
-            locations.iter().for_each(check_location);
-            if let Some(related) = res.get_field("relatedLocations") {
-                for loc in as_seq(related, what) {
-                    check_location(loc);
-                    expect_str(field(loc, "message", what), "text", what);
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -372,17 +321,6 @@ fn detlint_modes_fixture_is_in_schema() {
 }
 
 #[test]
-fn sarif_fixture_is_in_schema_and_carries_results() {
-    let v = read_value(&fixture("detlint.sarif"));
-    check_sarif(&v, "fixtures/detlint.sarif");
-    let runs = as_seq(field(&v, "runs", "fixture"), "fixture");
-    assert_eq!(runs.len(), 4, "a combined --all document has one run per mode");
-    let total: usize =
-        runs.iter().map(|r| as_seq(field(r, "results", "fixture"), "fixture").len()).sum();
-    assert!(total > 0, "fixture must carry results or the checker is half-dead");
-}
-
-#[test]
 fn live_results_artifacts_are_in_schema_when_present() {
     // The committed/regenerated artifacts under results/ must satisfy the
     // same schema the fixtures pin — this is the test that catches a writer
@@ -395,7 +333,6 @@ fn live_results_artifacts_are_in_schema_when_present() {
         ("concur_report.json", check_concur_report as fn(&Value, &str)),
         ("accum_report.json", check_accum_report as fn(&Value, &str)),
         ("detlint_modes.json", check_detlint_modes as fn(&Value, &str)),
-        ("detlint.sarif", check_sarif as fn(&Value, &str)),
     ] {
         let path = results.join(name);
         if path.exists() {
@@ -410,7 +347,7 @@ fn live_results_artifacts_are_in_schema_when_present() {
     if let Ok(entries) = std::fs::read_dir(&root) {
         for entry in entries.flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
-            if bench::trend::pr_number(&name).is_some() {
+            if is_bench_report(&name) {
                 let rep = load_baseline(&entry.path())
                     .unwrap_or_else(|e| panic!("{name}: {e}"))
                     .expect("exists");

@@ -62,13 +62,12 @@ pub struct EvalResult {
     pub per_class: Vec<f64>,
 }
 
-/// How the engine executes workers: persistent pool (default), everything
-/// inline on the caller's thread, or the legacy per-step scoped threads
-/// (kept as a bench baseline).
+/// How the engine executes workers: persistent pool (default), or
+/// everything inline on the caller's thread.
 enum Backend {
-    /// Workers owned by the engine, stepped on the caller's thread
-    /// (sequentially, or via per-step scoped threads when `scoped`).
-    Inline { workers: Vec<EasyScaleWorker>, scoped: bool },
+    /// Workers owned by the engine, stepped sequentially on the caller's
+    /// thread.
+    Inline { workers: Vec<EasyScaleWorker> },
     /// Workers moved onto persistent pool threads.
     Pool(Box<WorkerPool>),
 }
@@ -79,8 +78,7 @@ impl Backend {
             ExecMode::Pool => {
                 Backend::Pool(Box::new(WorkerPool::spawn(workers, &exec.device_ids, exec.drain)))
             }
-            ExecMode::SingleThread => Backend::Inline { workers, scoped: false },
-            ExecMode::Scoped => Backend::Inline { workers, scoped: true },
+            ExecMode::SingleThread => Backend::Inline { workers },
         }
     }
 
@@ -95,24 +93,8 @@ impl Backend {
         respawn: &mut RespawnFn<'_>,
     ) -> (Vec<LocalStep>, Vec<PoolError>) {
         match self {
-            Backend::Inline { workers, scoped } => {
-                let steps = if *scoped && workers.len() > 1 {
-                    let handles: Vec<Vec<LocalStep>> = crossbeam::thread::scope(|s| {
-                        let joins: Vec<_> = workers
-                            .iter_mut()
-                            .map(|w| s.spawn(move |_| w.run_local_steps()))
-                            .collect();
-                        joins
-                            .into_iter()
-                            .map(|j| j.join().expect("worker thread panicked"))
-                            .collect()
-                    })
-                    .expect("crossbeam scope failed");
-                    handles.into_iter().flatten().collect()
-                } else {
-                    workers.iter_mut().flat_map(|w| w.run_local_steps()).collect()
-                };
-                (steps, Vec::new())
+            Backend::Inline { workers } => {
+                (workers.iter_mut().flat_map(|w| w.run_local_steps()).collect(), Vec::new())
             }
             Backend::Pool(pool) => pool.run_steps_supervised(epoch, lr, respawn),
         }
@@ -137,7 +119,7 @@ impl Backend {
     /// Apply the optimizer delta to every replica.
     fn apply(&mut self, delta: &Arc<Vec<f32>>) {
         match self {
-            Backend::Inline { workers, .. } => {
+            Backend::Inline { workers } => {
                 for w in workers.iter_mut() {
                     w.apply_update(delta);
                 }
@@ -150,7 +132,7 @@ impl Backend {
     /// supervised like [`Backend::run_steps`].
     fn snapshots(&mut self, respawn: &mut RespawnFn<'_>) -> (Vec<WorkerSnapshot>, Vec<PoolError>) {
         match self {
-            Backend::Inline { workers, .. } => {
+            Backend::Inline { workers } => {
                 (workers.iter().map(WorkerSnapshot::capture).collect(), Vec::new())
             }
             Backend::Pool(pool) => pool.snapshots_supervised(respawn),
@@ -161,7 +143,7 @@ impl Backend {
     /// (pool workers are lent across and restored afterwards).
     fn with_worker_mut<R>(&mut self, index: usize, f: impl FnOnce(&mut EasyScaleWorker) -> R) -> R {
         match self {
-            Backend::Inline { workers, .. } => f(&mut workers[index]),
+            Backend::Inline { workers } => f(&mut workers[index]),
             Backend::Pool(pool) => {
                 let mut w = pool.lend(index);
                 let r = f(&mut w);
@@ -820,29 +802,24 @@ mod tests {
     #[test]
     fn all_exec_modes_are_bitwise_identical() {
         // The tentpole invariant at engine level: pool (N persistent
-        // threads), single-thread, and legacy scoped execution produce the
-        // same bits — including across a mid-run rescale.
+        // threads) and single-thread execution produce the same bits —
+        // including across a mid-run rescale.
         let exec = |mode| ExecOptions { mode, ..ExecOptions::default() };
         let p = || Placement::one_est_per_gpu(4, GpuType::V100);
         let mut pool = Engine::new_opts(config(), p(), exec(ExecMode::Pool));
         let mut single = Engine::new_opts(config(), p(), exec(ExecMode::SingleThread));
-        let mut scoped = Engine::new_opts(config(), p(), exec(ExecMode::Scoped));
         for _ in 0..2 {
             pool.step();
             single.step();
-            scoped.step();
         }
         let shrink = Placement::homogeneous(4, 2, GpuType::V100);
         let mut pool = pool.rescale(shrink.clone());
-        let mut single = single.rescale(shrink.clone());
-        let mut scoped = scoped.rescale(shrink);
+        let mut single = single.rescale(shrink);
         for _ in 0..2 {
             pool.step();
             single.step();
-            scoped.step();
         }
         assert_eq!(params_bits(&pool), params_bits(&single));
-        assert_eq!(params_bits(&pool), params_bits(&scoped));
     }
 
     #[test]

@@ -57,9 +57,6 @@ pub enum ExecMode {
     /// Everything on the caller's thread, workers stepped sequentially.
     /// The reference for the N-thread ≡ 1-thread equivalence tests.
     SingleThread,
-    /// The pre-pool model: scoped threads spawned inside every global step.
-    /// Kept as a bench/regression baseline for the spawn overhead.
-    Scoped,
 }
 
 /// Execution options for an [`Engine`](crate::Engine).

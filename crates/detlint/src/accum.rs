@@ -917,7 +917,8 @@ fn called_names(toks: &[Tok], region: Option<&[(u32, u32)]>, out: &mut Vec<Strin
 
 /// Run the accumulation analysis over a pre-built model, recording allow
 /// consumption in `allows`. Stale accounting is the caller's job (the
-/// single-mode wrapper scopes it to [`Domain::Accum`]; `--all` unifies it).
+/// single-mode wrapper scopes it to [`Domain::Accum`]; `analyze_model_all`
+/// unifies it).
 pub fn analyze_model(model: &Model, acfg: &AccumConfig, allows: &mut AllowSet) -> AccumReport {
     let mut findings: Vec<AccumFinding> = Vec::new();
     let mut loop_infos: Vec<LoopInfo> = Vec::new();

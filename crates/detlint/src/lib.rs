@@ -15,14 +15,12 @@
 //! with `// detlint::allow(rule): reason` comments.
 
 pub mod accum;
-pub mod cache;
 pub mod callgraph;
 pub mod concur;
 pub mod items;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod suppress;
 pub mod taint;
 
@@ -182,8 +180,7 @@ pub fn analyze_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Findi
 /// Read every integration-test file — `crates/*/tests/**/*.rs` plus the
 /// workspace-level `tests/*.rs` — in sorted order. Test files are not
 /// linted; they are *evidence* for the oracle-pairing pass (a kernel and
-/// its `_scalar` sibling must be exercised together by at least one test)
-/// and part of the cache's inputs fingerprint.
+/// its `_scalar` sibling must be exercised together by at least one test).
 pub fn workspace_test_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<std::path::PathBuf> = std::fs::read_dir(&crates_dir)?
@@ -226,8 +223,6 @@ pub struct ModelFile {
     pub crate_name: String,
     /// Workspace-relative path.
     pub file: String,
-    /// File contents (cache fingerprinting).
-    pub src: String,
     /// The token stream + comments.
     pub lexed: lexer::Lexed,
     /// `#[cfg(test)] mod … { … }` line ranges.
@@ -261,7 +256,6 @@ pub fn build_model(files: &[SourceFile], test_files: &[SourceFile]) -> Model {
         model_files.push(ModelFile {
             crate_name: sf.crate_name,
             file: sf.file,
-            src: sf.src,
             lexed,
             test_regions,
         });
@@ -271,11 +265,11 @@ pub fn build_model(files: &[SourceFile], test_files: &[SourceFile]) -> Model {
     Model { files: model_files, test_files: tests, graph: callgraph::Graph::build(file_items) }
 }
 
-/// Every mode's report off one model build (`--all`).
+/// Every mode's report off one model build (what the `detlint` binary runs).
 #[derive(Debug)]
 pub struct AllReport {
     /// Leaf findings, with the *unified* stale-allow accounting appended:
-    /// in `--all` an allow is judged against every mode at once, so the
+    /// in the combined run an allow is judged against every mode at once, so the
     /// per-mode reports carry empty `unused_suppressions` and the single
     /// ledger's verdict lands here.
     pub leaf: Vec<Finding>,

@@ -5,7 +5,7 @@
 use crate::accum::AccumReport;
 use crate::concur::{ConcurFinding, ConcurReport};
 use crate::taint::TaintReport;
-use crate::Finding;
+use crate::{AllReport, Finding};
 use serde::Value;
 
 /// `file:line: [rule/level] message` — one line per finding, plus a
@@ -352,6 +352,41 @@ pub fn accum_json(r: &AccumReport) -> String {
         ("loops".to_string(), Value::Seq(loops)),
         ("oracles".to_string(), Value::Seq(oracles)),
         ("unused_suppressions".to_string(), Value::Seq(stale)),
+    ]);
+    serde_json::to_string_pretty(&root).expect("value tree serializes")
+}
+
+/// The per-mode gate summary (`results/detlint_modes.json` in CI): one
+/// clean/dirty status per analysis, so the CI gate stages keep per-mode
+/// granularity off a single combined run.
+pub fn modes_json(r: &AllReport) -> String {
+    let entry = |mode: &str, findings: usize| {
+        Value::Map(vec![
+            ("mode".to_string(), Value::Str(mode.to_string())),
+            (
+                "status".to_string(),
+                Value::Str(if findings == 0 { "clean" } else { "dirty" }.to_string()),
+            ),
+            ("findings".to_string(), Value::U64(findings as u64)),
+        ])
+    };
+    let taint_n = r.taint.flows.len() + r.taint.unused_suppressions.len();
+    let concur_n = r.concur.findings.len() + r.concur.unused_suppressions.len();
+    let accum_n = r.accum.findings.len() + r.accum.unused_suppressions.len();
+    let root = Value::Map(vec![
+        (
+            "modes".to_string(),
+            Value::Seq(vec![
+                entry("leaf", r.leaf.len()),
+                entry("taint", taint_n),
+                entry("concur", concur_n),
+                entry("accum", accum_n),
+            ]),
+        ),
+        (
+            "status".to_string(),
+            Value::Str(if r.is_clean() { "clean" } else { "dirty" }.to_string()),
+        ),
     ]);
     serde_json::to_string_pretty(&root).expect("value tree serializes")
 }

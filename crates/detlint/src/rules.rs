@@ -156,7 +156,7 @@ pub fn check_file(lexed: &Lexed, crate_name: &str, file: &str, cfg: &Config) -> 
     findings
 }
 
-/// [`check_file`] against a *shared* allow ledger (`--all`): detectors run
+/// [`check_file`] against a *shared* allow ledger (the combined run): detectors run
 /// and consume from `allows` — including for the findings they suppress,
 /// so the unified accounting sees the usage — while the caller owns both
 /// the per-file scans and the cross-mode stale verdict.

@@ -6,7 +6,7 @@
 //! could still be reported stale by another. Now a single [`AllowSet`] is
 //! scanned once per file, consumption is recorded in place, and staleness
 //! is computed per domain (single-mode runs) or across all domains at once
-//! (`--all` runs), so a token is only ever judged by the pass that owns it.
+//! (combined runs), so a token is only ever judged by the pass that owns it.
 
 use crate::lexer::Lexed;
 use crate::Finding;
@@ -191,7 +191,7 @@ pub mod phrase {
     /// Accumulation pass.
     pub const ACCUM: &str = "blocked no accumulation finding; delete the stale suppression \
                              or fix its kind list";
-    /// Unified `--all` accounting.
+    /// Unified accounting of the combined run.
     pub const ALL: &str = "matched no finding in any mode; delete the stale suppression or \
                            fix its rule list";
 }

@@ -163,7 +163,8 @@ fn allow_blocks(allows: &mut AllowSet, file: &str, line: u32, kind: &str) -> boo
 
 /// Run the taint analysis over a pre-built model, recording allow
 /// consumption in `allows`. Stale accounting is the caller's job (the
-/// single-mode wrapper scopes it to [`Domain::Taint`]; `--all` unifies it).
+/// single-mode wrapper scopes it to [`Domain::Taint`]; `analyze_model_all`
+/// unifies it).
 pub fn analyze_model(model: &Model, tcfg: &TaintConfig, allows: &mut AllowSet) -> TaintReport {
     let mut crate_names: Vec<String> = model.files.iter().map(|f| f.crate_name.clone()).collect();
     crate_names.sort();

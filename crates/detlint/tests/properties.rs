@@ -1,14 +1,15 @@
 //! Property-based tests for the taint, concurrency, and accumulation
-//! analyses (and the SARIF serialization over all of them): each report is
-//! a pure function of the file *set*, never the file *visit order*. The walker feeds files in sorted order, but nothing may depend
-//! on that — graph node ids, BFS frontiers, and witness selection all have
-//! explicit tie-breaks, and these properties pin them byte-for-byte.
+//! analyses: each report is a pure function of the file *set*, never the
+//! file *visit order*. The walker feeds files in sorted order, but nothing
+//! may depend on that — graph node ids, BFS frontiers, and witness
+//! selection all have explicit tie-breaks, and these properties pin them
+//! byte-for-byte.
 
 use detlint::accum::AccumConfig;
 use detlint::concur::ConcurConfig;
 use detlint::report;
 use detlint::taint::{analyze_files, TaintConfig};
-use detlint::{sarif, SourceFile};
+use detlint::SourceFile;
 use proptest::prelude::*;
 
 /// The planted fixture mini-workspace: five crates, six flows, one stale
@@ -86,35 +87,6 @@ proptest! {
         shuffle(&mut test_files, seed.rotate_left(17));
         let shuffled =
             report::accum_json(&detlint::accum::analyze_files(&files, &test_files, &cfg));
-        prop_assert_eq!(baseline, shuffled);
-    }
-
-    /// The full four-run SARIF document is byte-identical under shuffled
-    /// file order: the serializer has no map-ordering freedom (insertion
-    /// order only) and every input report is already canonically sorted.
-    #[test]
-    fn sarif_document_is_byte_identical_under_any_file_visit_order(seed in 0u64..u64::MAX) {
-        let tcfg = TaintConfig::workspace_default();
-        let ccfg = ConcurConfig::workspace_default();
-        let acfg = AccumConfig::workspace_default();
-        let document = |taint_files: &[SourceFile],
-                        concur_files: &[SourceFile],
-                        accum: &(Vec<SourceFile>, Vec<SourceFile>)| {
-            sarif::document(vec![
-                sarif::taint_run(&analyze_files(taint_files, &tcfg)),
-                sarif::concur_run(&detlint::concur::analyze_files(concur_files, &ccfg)),
-                sarif::accum_run(&detlint::accum::analyze_files(&accum.0, &accum.1, &acfg)),
-            ])
-        };
-        let baseline = document(&corpus(), &concur_corpus(), &accum_corpus());
-        let mut taint_files = corpus();
-        let mut concur_files = concur_corpus();
-        let (mut accum_files, mut accum_tests) = accum_corpus();
-        shuffle(&mut taint_files, seed);
-        shuffle(&mut concur_files, seed.rotate_left(7));
-        shuffle(&mut accum_files, seed.rotate_left(29));
-        shuffle(&mut accum_tests, seed.rotate_left(41));
-        let shuffled = document(&taint_files, &concur_files, &(accum_files, accum_tests));
         prop_assert_eq!(baseline, shuffled);
     }
 }

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Bench regression gate: run the fixed bench_gate suite, record this PR's
-# medians to BENCH_PR10.json (committed at the repo root), and fail if any
+# medians to BENCH_PR<N+1>.json (committed at the repo root, N = the
+# highest committed BENCH_PR<N>.json), and fail if any
 # bench's median regressed more than the threshold against the prior PR's
 # BENCH_*.json. The gate is two-sided: medians that beat the baseline past
 # the same margin are printed as wins and recorded in the output JSON's
 # `improvements` array. With no prior baseline the gate warns, records,
 # and passes.
 #
-#   scripts/bench_gate.sh [OUT_JSON]            (default: BENCH_PR10.json)
+#   scripts/bench_gate.sh [OUT_JSON]            (default: BENCH_PR<N+1>.json)
 #   BENCH_GATE_THRESHOLD=1.15                   (ratio; 1.15 = +15%)
 #
 # Baselines resolve from exactly ONE canonical location: BENCH_PR*.json at
@@ -17,8 +18,25 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_PR10.json}"
 THRESHOLD="${BENCH_GATE_THRESHOLD:-1.15}"
+
+# PR number of a committed baseline name, or nothing for any other file.
+pr_number() {
+  local n="${1#BENCH_PR}"
+  n="${n%.json}"
+  [ "BENCH_PR$n.json" = "$1" ] || return 0
+  case "$n" in (''|*[!0-9]*) return 0;; esac
+  echo "$n"
+}
+
+# Default output: one past the highest committed BENCH_PR<N>.json, so a
+# plain run never overwrites a committed baseline.
+newest=-1
+for f in BENCH_PR*.json; do
+  n="$(pr_number "$f")"
+  [ -n "$n" ] && [ "$n" -gt "$newest" ] && newest="$n"
+done
+OUT="${1:-BENCH_PR$((newest + 1)).json}"
 
 # Ambiguity check: committed baselines live at the repo root, full stop.
 strays=$(ls results/BENCH_PR*.json 2>/dev/null || true)
@@ -38,11 +56,9 @@ fi
 BASELINE=""
 best=-1
 for f in BENCH_PR*.json; do
-  [ -f "$f" ] || continue
   [ "$f" = "$(basename "$OUT")" ] && continue
-  n="${f#BENCH_PR}"
-  n="${n%.json}"
-  case "$n" in (''|*[!0-9]*) continue;; esac
+  n="$(pr_number "$f")"
+  [ -n "$n" ] || continue
   if [ "$n" -gt "$best" ]; then
     best="$n"
     BASELINE="$f"

@@ -2,18 +2,14 @@
 # Staged CI pipeline (see docs/CI.md). Runs entirely offline.
 #
 #   scripts/ci.sh           full pipeline: fmt → clippy → detlint (one
-#                           combined `--all` run: leaf + taint + concurrency
-#                           + accum, SARIF + per-mode reports under
-#                           results/) → per-mode gates → detlint_warm
-#                           (cache-hit re-run; cold vs warm timing lands in
-#                           ci_report.json) → build → test → kernels →
+#                           combined run: leaf + taint + concurrency +
+#                           accum, per-mode reports under results/) →
+#                           per-mode gates → build → test → kernels →
 #                           faultsim chaos matrix → silent-fault detection
 #                           matrix → bench gate (records + gates the full
 #                           suite, per-kernel benches included)
 #   scripts/ci.sh --quick   quick stages only (what scripts/check.sh runs):
-#                           fmt → clippy → detlint (combined run, warm: the
-#                           analysis cache under results/detlint_cache
-#                           persists across quick runs) → per-mode gates →
+#                           fmt → clippy → detlint → per-mode gates →
 #                           build → test → kernels (builds every
 #                           crates/bench/src/bin/* and smoke-runs the
 #                           per-kernel benches; no gating) → thread_faults
@@ -68,21 +64,16 @@ stage() {
 stage fmt        cargo fmt --all --check
 stage clippy     cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# One combined detlint run replaces the former detlint / taint / concurrency
-# stages: `--all` shares one lex + one call graph across the leaf rules, the
-# interprocedural taint flows, the static concurrency checks, and the
-# float-accumulation dataflow pass (docs/DETLINT.md). It writes the same
-# per-mode reports the three stages used to (results/{detlint,taint,concur,
-# accum}_report.json), plus the SARIF 2.1.0 interchange document and the
-# per-mode status breakdown the gate stages below read. The content-hashed
-# analysis cache under results/detlint_cache makes repeat runs near-free;
-# full mode clears it first so the `detlint` stage times a cold run and
-# `detlint_warm` times the cache hit.
+# One combined detlint run: it shares one lex + one call graph across the
+# leaf rules, the interprocedural taint flows, the static concurrency
+# checks, and the float-accumulation dataflow pass (docs/DETLINT.md), and
+# writes the per-mode reports (results/{detlint,taint,concur,accum}_report.json)
+# plus the per-mode status breakdown the gate stages below read.
 detlint_all() {
   local rc=0
-  cargo run --offline -q -p detlint -- --all --quiet \
-    --out-dir results --sarif results/detlint.sarif \
-    --cache-dir results/detlint_cache || rc=$?
+  # A stale breakdown from an earlier run must not stand in for this one.
+  rm -f results/detlint_modes.json
+  cargo run --offline -q -p detlint -- --quiet --out-dir results || rc=$?
   # rc=1 means findings somewhere: let the per-mode gate stages report
   # *which* analysis is dirty. Anything else is a real failure.
   [ "$rc" -le 1 ] && [ -f results/detlint_modes.json ]
@@ -98,22 +89,17 @@ mode_gate() {
     inmode && /"status"/ { found = 1; exit ($0 ~ /"clean"/) ? 0 : 1 }
     END { if (!found) exit 2 }
   ' results/detlint_modes.json && return 0
-  echo "detlint: '$mode' analysis is dirty — see results/detlint.sarif and" \
-    "the per-mode reports under results/" >&2
+  local report="results/${mode}_report.json"
+  [ "$mode" = leaf ] && report=results/detlint_report.json
+  echo "detlint: '$mode' analysis is dirty — see $report" >&2
   return 1
 }
 
-if [ "$MODE" = full ]; then
-  rm -rf results/detlint_cache
-fi
 stage detlint     detlint_all
 stage leaf_rules  mode_gate leaf
 stage taint       mode_gate taint
 stage concurrency mode_gate concur
 stage accum       mode_gate accum
-if [ "$MODE" = full ]; then
-  stage detlint_warm detlint_all
-fi
 stage build      cargo build --release --offline
 stage test       cargo test -q --offline --workspace --exclude faultsim
 # The kernels stage keeps bench code honest between full runs: build every

@@ -221,6 +221,52 @@ fn run_suite(opts: &SuiteOpts) -> Vec<BenchResult> {
                 }),
             );
         }
+        // The conv shapes of the ResNet18 proxy's residual block under the
+        // V100 profile: the per-sample weight gradient `g · colsᵀ`, the
+        // mini-batch-wide forward GEMM over B·oh·ow = 512 columns, and one
+        // whole Conv2d layer forward + backward at batch 8.
+        let v100 = tensor::KernelProfile::vendor_optimized(80);
+        let mat = |rows: usize, cols: usize| {
+            tensor::Tensor::from_vec(data[..rows * cols].to_vec(), &[rows, cols])
+        };
+        if selected("kernel_matmul_a_bt_8x64x72") {
+            let (g, cols) = (mat(8, 64), mat(72, 64));
+            record(
+                "kernel_matmul_a_bt_8x64x72",
+                scale(200),
+                measure(samples, scale(200), scale(20), || {
+                    black_box(tensor::ops::matmul_a_bt(black_box(&g), black_box(&cols), &v100));
+                }),
+            );
+        }
+        if selected("kernel_matmul_8x72x512") {
+            let (w, cols) = (mat(8, 72), mat(72, 512));
+            record(
+                "kernel_matmul_8x72x512",
+                scale(100),
+                measure(samples, scale(100), scale(10), || {
+                    black_box(tensor::ops::matmul(black_box(&w), black_box(&cols), &v100));
+                }),
+            );
+        }
+        if selected("kernel_conv2d_b8_c8_hw8") {
+            use models::model::{ExecCtx, Layer};
+            let mut init =
+                esrng::EsRng::for_stream(7, esrng::StreamKey::global(esrng::StreamKind::ModelInit));
+            let mut conv = models::conv::Conv2d::init(8, 8, 3, 1, 1, &mut init);
+            let x = tensor::Tensor::from_vec(data[..8 * 8 * 64].to_vec(), &[8, 8, 8, 8]);
+            let grad = tensor::Tensor::from_vec(data[1..8 * 8 * 64 + 1].to_vec(), &[8, 8, 8, 8]);
+            let mut dropout = init.clone();
+            record(
+                "kernel_conv2d_b8_c8_hw8",
+                scale(50),
+                measure(samples, scale(50), scale(5), || {
+                    let mut ctx = ExecCtx { profile: v100, training: true, dropout: &mut dropout };
+                    black_box(conv.forward(black_box(&x), &mut ctx));
+                    black_box(conv.backward(black_box(&grad), &mut ctx));
+                }),
+            );
+        }
     }
 
     // One full global step on the persistent pool (the default backend):
@@ -245,6 +291,24 @@ fn run_suite(opts: &SuiteOpts) -> Vec<BenchResult> {
             &name,
             scale(10),
             measure(samples, scale(10), scale(3), || {
+                black_box(e.step());
+            }),
+        );
+    }
+
+    // The ResNet18 proxy's training step as the benchmark's
+    // `train_compute` workload runs it: nEST 8 on 2 V100 workers (4+4),
+    // batch 8, pool backend — forward/backward dominates.
+    if selected("engine_step_resnet18_w2") {
+        let cfg = JobConfig::new(Workload::ResNet18, 7, 8).with_dataset_len(512);
+        let exec =
+            ExecOptions { mode: ExecMode::Pool, device_ids: vec![0, 1], ..ExecOptions::default() };
+        let mut e = Engine::new_opts(cfg, Placement::homogeneous(8, 2, GpuType::V100), exec);
+        e.step();
+        record(
+            "engine_step_resnet18_w2",
+            scale(5),
+            measure(samples, scale(5), scale(2), || {
                 black_box(e.step());
             }),
         );

@@ -222,7 +222,7 @@ impl EasyScaleWorker {
             let logits = self.model.forward(&batch.features, &mut ctx);
             let probs = softmax_rows(&logits, &profile);
             let (loss, grad_logits) = cross_entropy(&probs, &batch.labels, &profile);
-            self.model.backward(&grad_logits, &mut ctx);
+            self.model.backward_params(&grad_logits, &mut ctx);
 
             // — Context switch out: capture gradient ("async D2H copy") and
             //   the EST's mutated implicit states; free the working set. —

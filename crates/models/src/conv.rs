@@ -9,7 +9,7 @@
 use crate::model::{ExecCtx, Layer};
 use esrng::EsRng;
 use tensor::ops::{self, ConvGeom};
-use tensor::Tensor;
+use tensor::{KernelProfile, Tensor};
 
 /// Conv2d: input `[B, cin, h, w]` → output `[B, cout, oh, ow]`.
 pub struct Conv2d {
@@ -25,10 +25,11 @@ pub struct Conv2d {
 }
 
 struct Cached {
-    cols: Vec<Tensor>,
-    in_h: usize,
-    in_w: usize,
-    batch: usize,
+    /// Mini-batch im2col matrix `[cin*k*k, B*oh*ow]`; sample `i` owns
+    /// columns `i*oh*ow..(i+1)*oh*ow`.
+    cols: Tensor,
+    /// Input shape `[B, cin, h, w]`.
+    in_shape: [usize; 4],
 }
 
 impl Conv2d {
@@ -63,76 +64,92 @@ impl Conv2d {
     pub fn out_dims(&self, h: usize, w: usize) -> (usize, usize) {
         (self.geom.out_size(h), self.geom.out_size(w))
     }
+
+    /// Parameter-gradient half of the backward pass, per sample in sample
+    /// order: `dW += g_i · cols_iᵀ` and `db += row sums of g_i`.
+    fn accumulate_param_grads(&mut self, grad: &Tensor, cached: &Cached, profile: &KernelProfile) {
+        let [b, _, h, w] = cached.in_shape;
+        let (oh, ow) = self.out_dims(h, w);
+        let spatial = oh * ow;
+        let out_plane = self.cout * spatial;
+        assert_eq!(grad.shape(), &[b, self.cout, oh, ow], "grad shape mismatch");
+        let rows = cached.cols.shape()[0];
+        let ncols = b * spatial;
+        let cd = cached.cols.data();
+        for i in 0..b {
+            let gi = &grad.data()[i * out_plane..(i + 1) * out_plane];
+            let g = Tensor::from_vec(gi.to_vec(), &[self.cout, spatial]);
+            let mut col = Tensor::zeros(&[rows, spatial]);
+            for (r, dst) in col.data_mut().chunks_exact_mut(spatial).enumerate() {
+                dst.copy_from_slice(&cd[r * ncols + i * spatial..][..spatial]);
+            }
+            // dW += g · colᵀ   ([cout, spatial]·[spatial, cin·k²]).
+            self.gw.axpy_(1.0, &ops::matmul_a_bt(&g, &col, profile));
+            for (db, grow) in self.gb.data_mut().iter_mut().zip(gi.chunks_exact(spatial)) {
+                *db += ops::blocked_sum(grow, profile);
+            }
+        }
+    }
+
+    /// Input-gradient half of the backward pass: one `dcol = Wᵀ · g` over
+    /// the whole mini-batch (`g` regrouped to `[cout, B*oh*ow]`), folded
+    /// back per sample with col2im.
+    fn input_grad(&self, grad: &Tensor, in_shape: [usize; 4], profile: &KernelProfile) -> Tensor {
+        let [b, _, h, w] = in_shape;
+        let (oh, ow) = self.out_dims(h, w);
+        let spatial = oh * ow;
+        let ncols = b * spatial;
+        let mut g = Tensor::zeros(&[self.cout, ncols]);
+        let (src, dst) = (grad.data(), g.data_mut());
+        for i in 0..b {
+            for c in 0..self.cout {
+                dst[c * ncols + i * spatial..][..spatial]
+                    .copy_from_slice(&src[(i * self.cout + c) * spatial..][..spatial]);
+            }
+        }
+        let dcol = ops::matmul_at_b(&self.weight, &g, profile);
+        ops::col2im(&dcol, &in_shape, self.geom)
+    }
 }
 
 impl Layer for Conv2d {
+    /// One mini-batch-wide GEMM: `W · im2col(x)` over `[cin*k*k, B*oh*ow]`.
+    /// Every output column is its own accumulation chain, so batching the
+    /// columns gives the per-sample bits.
     fn forward(&mut self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor {
         let s = x.shape();
         assert_eq!(s.len(), 4, "Conv2d expects [B,cin,h,w], got {s:?}");
         assert_eq!(s[1], self.cin, "channel mismatch");
         let (b, h, w) = (s[0], s[2], s[3]);
         let (oh, ow) = self.out_dims(h, w);
-        let plane = self.cin * h * w;
+        let spatial = oh * ow;
+        let cols = ops::im2col(x, self.geom);
+        let y = ops::matmul(&self.weight, &cols, &ctx.profile);
+        // [cout, B*oh*ow] → [B, cout, oh, ow], adding the bias.
         let mut out = Tensor::zeros(&[b, self.cout, oh, ow]);
-        let mut cols = Vec::with_capacity(b);
-        {
-            let od = out.data_mut();
-            let out_plane = self.cout * oh * ow;
-            for i in 0..b {
-                let sample = Tensor::from_vec(
-                    x.data()[i * plane..(i + 1) * plane].to_vec(),
-                    &[self.cin, h, w],
-                );
-                let col = ops::im2col(&sample, self.geom);
-                let y = ops::matmul(&self.weight, &col, &ctx.profile);
-                let yd = y.data();
-                let dst = &mut od[i * out_plane..(i + 1) * out_plane];
-                let spatial = oh * ow;
-                for c in 0..self.cout {
-                    let bias = self.bias.data()[c];
-                    for p in 0..spatial {
-                        dst[c * spatial + p] = yd[c * spatial + p] + bias;
-                    }
+        let (yd, od) = (y.data(), out.data_mut());
+        for i in 0..b {
+            for (c, &bias) in self.bias.data().iter().enumerate() {
+                let src = &yd[(c * b + i) * spatial..][..spatial];
+                let dst = &mut od[(i * self.cout + c) * spatial..][..spatial];
+                for (o, &v) in dst.iter_mut().zip(src) {
+                    *o = v + bias;
                 }
-                cols.push(col);
             }
         }
-        self.cached = Some(Cached { cols, in_h: h, in_w: w, batch: b });
+        self.cached = Some(Cached { cols, in_shape: [b, self.cin, h, w] });
         out
     }
 
     fn backward(&mut self, grad: &Tensor, ctx: &mut ExecCtx) -> Tensor {
         let cached = self.cached.take().expect("backward before forward");
-        let (b, h, w) = (cached.batch, cached.in_h, cached.in_w);
-        let (oh, ow) = self.out_dims(h, w);
-        let spatial = oh * ow;
-        let out_plane = self.cout * spatial;
-        let in_plane = self.cin * h * w;
-        assert_eq!(grad.shape(), &[b, self.cout, oh, ow], "grad shape mismatch");
+        self.accumulate_param_grads(grad, &cached, &ctx.profile);
+        self.input_grad(grad, cached.in_shape, &ctx.profile)
+    }
 
-        let mut gx = Tensor::zeros(&[b, self.cin, h, w]);
-        for i in 0..b {
-            let g = Tensor::from_vec(
-                grad.data()[i * out_plane..(i + 1) * out_plane].to_vec(),
-                &[self.cout, spatial],
-            );
-            // dW += g · colᵀ   ([cout, spatial]·[spatial, cin·k²]).
-            let dw = ops::matmul_a_bt(&g, &cached.cols[i], &ctx.profile);
-            self.gw.axpy_(1.0, &dw);
-            // db += row sums of g.
-            {
-                let gbd = self.gb.data_mut();
-                let gd = g.data();
-                for c in 0..self.cout {
-                    gbd[c] += ops::blocked_sum(&gd[c * spatial..(c + 1) * spatial], &ctx.profile);
-                }
-            }
-            // dcol = Wᵀ · g, then fold back with col2im.
-            let dcol = ops::matmul_at_b(&self.weight, &g, &ctx.profile);
-            let dx = ops::col2im(&dcol, self.cin, h, w, self.geom);
-            gx.data_mut()[i * in_plane..(i + 1) * in_plane].copy_from_slice(dx.data());
-        }
-        gx
+    fn backward_params(&mut self, grad: &Tensor, ctx: &mut ExecCtx) {
+        let cached = self.cached.take().expect("backward before forward");
+        self.accumulate_param_grads(grad, &cached, &ctx.profile);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -165,7 +182,6 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use esrng::{StreamKey, StreamKind};
-    use tensor::KernelProfile;
 
     fn init_rng() -> EsRng {
         EsRng::for_stream(2, StreamKey::global(StreamKind::ModelInit))

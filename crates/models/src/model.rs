@@ -27,6 +27,13 @@ pub trait Layer: Send {
     /// Backward pass: takes dL/d(output), returns dL/d(input), accumulates
     /// parameter gradients.
     fn backward(&mut self, grad: &Tensor, ctx: &mut ExecCtx) -> Tensor;
+    /// Backward pass whose input gradient nobody reads (the first layer of
+    /// a model): accumulates the parameter gradients exactly as
+    /// [`Layer::backward`] does. Layers that compute their input gradient
+    /// separately skip it; the default runs `backward` and drops it.
+    fn backward_params(&mut self, grad: &Tensor, ctx: &mut ExecCtx) {
+        self.backward(grad, ctx);
+    }
     /// Learnable parameters (possibly empty).
     fn params(&self) -> Vec<&Tensor> {
         Vec::new()
@@ -92,10 +99,31 @@ impl Model {
         cur
     }
 
-    /// Backward through all layers (reverse order), accumulating gradients.
+    /// Backward through all layers (reverse order), accumulating gradients;
+    /// returns the gradient w.r.t. the model input.
     pub fn backward(&mut self, grad: &Tensor, ctx: &mut ExecCtx) -> Tensor {
+        let cur = self.backward_to_first(grad, ctx);
+        match self.layers.first_mut() {
+            Some(first) => first.backward(&cur, ctx),
+            None => cur,
+        }
+    }
+
+    /// The training backward pass: accumulates the same parameter gradients
+    /// as [`Model::backward`] but skips the model-input gradient, which
+    /// nothing reads (see [`Layer::backward_params`]).
+    pub fn backward_params(&mut self, grad: &Tensor, ctx: &mut ExecCtx) {
+        let cur = self.backward_to_first(grad, ctx);
+        if let Some(first) = self.layers.first_mut() {
+            first.backward_params(&cur, ctx);
+        }
+    }
+
+    /// Backward through every layer but the first; returns the gradient
+    /// w.r.t. the first layer's output.
+    fn backward_to_first(&mut self, grad: &Tensor, ctx: &mut ExecCtx) -> Tensor {
         let mut cur = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
+        for layer in self.layers.iter_mut().skip(1).rev() {
             cur = layer.backward(&cur, ctx);
         }
         cur

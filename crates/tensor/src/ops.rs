@@ -287,25 +287,26 @@ pub fn matmul_at_b_scalar(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Te
     out
 }
 
-/// `C = A · Bᵀ` for `A: [m,k]`, `B: [n,k]` (input-gradient shape). Both
-/// operands are row-contiguous over the reduction axis, so each output
-/// element is exactly a [`dot`] — which is itself the lockstep-tile
-/// vectorized kernel. Bit-identical to [`matmul_a_bt_scalar`].
+/// `C = A · Bᵀ` for `A: [m,k]`, `B: [n,k]` (input- and weight-gradient
+/// shape). `B` is transposed once into `[k,n]` so the row-vectorized core
+/// streams contiguous rows; each output element keeps the [`dot`] chain
+/// (K-tiles from 0.0, `p` ascending inside a tile, partials combined in
+/// `algo_id` order, one noise draw per element in row-major order).
+/// Bit-identical to [`matmul_a_bt_scalar`].
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Tensor {
     let (m, k) = mat_dims(a);
     let (n, k2) = mat_dims(b);
     assert_eq!(k, k2, "matmul_a_bt inner-dimension mismatch");
-    let mut out = Tensor::zeros(&[m, n]);
-    let ad = a.data();
     let bd = b.data();
-    let od = out.data_mut();
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &bd[j * k..(j + 1) * k];
-            od[i * n + j] = dot(arow, brow, profile);
+    let mut bt = vec![0.0f32; k * n];
+    for j in 0..n {
+        for p in 0..k {
+            bt[p * n + j] = bd[j * k + p];
         }
     }
+    let mut out = Tensor::zeros(&[m, n]);
+    let ad = a.data();
+    matmul_rows_into(m, k, n, &bt, profile, out.data_mut(), |i, p| ad[i * k + p]);
     out
 }
 
@@ -347,37 +348,82 @@ pub struct ConvGeom {
 
 impl ConvGeom {
     /// Output spatial size for an input of `h` pixels.
+    ///
+    /// Panics, naming the geometry, on a zero stride or on a kernel larger
+    /// than the padded input — geometries with no output.
     pub fn out_size(&self, h: usize) -> usize {
+        assert!(self.stride > 0, "invalid conv geometry {self:?}: stride must be at least 1");
+        assert!(
+            h + 2 * self.pad >= self.kernel,
+            "invalid conv geometry {self:?}: kernel {} is larger than the padded input \
+             {h} + 2*{} = {}",
+            self.kernel,
+            self.pad,
+            h + 2 * self.pad
+        );
         (h + 2 * self.pad - self.kernel) / self.stride + 1
+    }
+
+    /// The output positions `o` in `0..out` whose input coordinate
+    /// `o*stride + k - pad` (kernel offset `k`) lies inside `0..len`, as a
+    /// half-open range. Outside it the unfolded value is padding.
+    fn in_bounds(&self, k: usize, len: usize, out: usize) -> std::ops::Range<usize> {
+        if len + self.pad <= k {
+            return 0..0;
+        }
+        let lo = self.pad.saturating_sub(k).div_ceil(self.stride);
+        let hi = ((len + self.pad - k - 1) / self.stride + 1).min(out);
+        lo.min(hi)..hi
     }
 }
 
-/// im2col: unfold `input: [cin, h, w]` into a `[cin*k*k, oh*ow]` matrix.
-/// Pure gather — no reductions, so no profile needed.
+/// `(batch, cin, h, w)` of a conv input: `[cin,h,w]` is one sample.
+fn conv_input_dims(s: &[usize]) -> (usize, usize, usize, usize) {
+    match *s {
+        [cin, h, w] => (1, cin, h, w),
+        [b, cin, h, w] => (b, cin, h, w),
+        _ => panic!("conv input must be [cin,h,w] or [B,cin,h,w], got {s:?}"),
+    }
+}
+
+/// im2col: unfold `input: [cin, h, w]` (or a mini-batch `[B, cin, h, w]`)
+/// into a `[cin*k*k, B*oh*ow]` matrix; sample `i` owns columns
+/// `i*oh*ow..(i+1)*oh*ow`. Pure gather — no reductions, so no profile
+/// needed. Each row copies the in-bounds run of every output row; padding
+/// stays zero.
 pub fn im2col(input: &Tensor, geom: ConvGeom) -> Tensor {
-    let s = input.shape();
-    assert_eq!(s.len(), 3, "im2col expects [cin,h,w]");
-    let (cin, h, w) = (s[0], s[1], s[2]);
+    let (b, cin, h, w) = conv_input_dims(input.shape());
     let (oh, ow) = (geom.out_size(h), geom.out_size(w));
-    let rows = cin * geom.kernel * geom.kernel;
-    let cols = oh * ow;
-    let mut out = Tensor::zeros(&[rows, cols]);
+    let (k, stride) = (geom.kernel, geom.stride);
+    let spatial = oh * ow;
+    let ncols = b * spatial;
+    let mut out = Tensor::zeros(&[cin * k * k, ncols]);
     let id = input.data();
     let od = out.data_mut();
     for c in 0..cin {
-        for ky in 0..geom.kernel {
-            for kx in 0..geom.kernel {
-                let row = (c * geom.kernel + ky) * geom.kernel + kx;
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        let v = if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                            id[(c * h + iy as usize) * w + ix as usize]
+        for ky in 0..k {
+            let oys = geom.in_bounds(ky, h, oh);
+            for kx in 0..k {
+                let oxs = geom.in_bounds(kx, w, ow);
+                if oxs.is_empty() {
+                    continue;
+                }
+                let ix0 = oxs.start * stride + kx - geom.pad;
+                let row = (c * k + ky) * k + kx;
+                for i in 0..b {
+                    let plane = &id[(i * cin + c) * h * w..][..h * w];
+                    let dst = &mut od[row * ncols + i * spatial..][..spatial];
+                    for oy in oys.clone() {
+                        let iy = oy * stride + ky - geom.pad;
+                        let src = &plane[iy * w + ix0..(iy + 1) * w];
+                        let run = &mut dst[oy * ow + oxs.start..oy * ow + oxs.end];
+                        if stride == 1 {
+                            run.copy_from_slice(&src[..run.len()]);
                         } else {
-                            0.0
-                        };
-                        od[row * cols + oy * ow + ox] = v;
+                            for (d, &v) in run.iter_mut().zip(src.iter().step_by(stride)) {
+                                *d = v;
+                            }
+                        }
                     }
                 }
             }
@@ -386,32 +432,41 @@ pub fn im2col(input: &Tensor, geom: ConvGeom) -> Tensor {
     out
 }
 
-/// col2im: fold a `[cin*k*k, oh*ow]` gradient back onto `[cin, h, w]`,
-/// accumulating overlaps in a fixed loop order (the deterministic-scatter
+/// col2im: fold a `[cin*k*k, B*oh*ow]` gradient back onto the conv input
+/// of `shape` (`[cin, h, w]` or `[B, cin, h, w]`), the adjoint of
+/// [`im2col`]. Each sample folds its own columns; every input pixel
+/// accumulates its overlaps in `(ky, kx)` order (the deterministic-scatter
 /// alternative to atomic col2im kernels).
-pub fn col2im(cols: &Tensor, cin: usize, h: usize, w: usize, geom: ConvGeom) -> Tensor {
+pub fn col2im(cols: &Tensor, shape: &[usize], geom: ConvGeom) -> Tensor {
+    let (b, cin, h, w) = conv_input_dims(shape);
     let (oh, ow) = (geom.out_size(h), geom.out_size(w));
-    let ncols = oh * ow;
-    assert_eq!(cols.shape(), &[cin * geom.kernel * geom.kernel, ncols], "col2im shape mismatch");
-    let mut out = Tensor::zeros(&[cin, h, w]);
+    let (k, stride) = (geom.kernel, geom.stride);
+    let spatial = oh * ow;
+    let ncols = b * spatial;
+    assert_eq!(cols.shape(), &[cin * k * k, ncols], "col2im shape mismatch");
+    let mut out = Tensor::zeros(shape);
     let cd = cols.data();
     let od = out.data_mut();
-    for c in 0..cin {
-        for ky in 0..geom.kernel {
-            for kx in 0..geom.kernel {
-                let row = (c * geom.kernel + ky) * geom.kernel + kx;
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    if iy < 0 || iy as usize >= h {
+    for i in 0..b {
+        for c in 0..cin {
+            let plane = &mut od[(i * cin + c) * h * w..][..h * w];
+            for ky in 0..k {
+                let oys = geom.in_bounds(ky, h, oh);
+                for kx in 0..k {
+                    let oxs = geom.in_bounds(kx, w, ow);
+                    if oxs.is_empty() {
                         continue;
                     }
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        if ix < 0 || ix as usize >= w {
-                            continue;
+                    let ix0 = oxs.start * stride + kx - geom.pad;
+                    let row = (c * k + ky) * k + kx;
+                    let src = &cd[row * ncols + i * spatial..][..spatial];
+                    for oy in oys.clone() {
+                        let iy = oy * stride + ky - geom.pad;
+                        let dst = &mut plane[iy * w + ix0..(iy + 1) * w];
+                        let run = &src[oy * ow + oxs.start..oy * ow + oxs.end];
+                        for (d, &v) in dst.iter_mut().step_by(stride).zip(run) {
+                            *d += v;
                         }
-                        od[(c * h + iy as usize) * w + ix as usize] +=
-                            cd[row * ncols + oy * ow + ox];
                     }
                 }
             }
@@ -574,7 +629,7 @@ mod tests {
         let x = Tensor::from_vec((0..27).map(|i| i as f32).collect(), &[3, 3, 3]);
         let geom = ConvGeom { kernel: 1, stride: 1, pad: 0 };
         let cols = im2col(&x, geom);
-        let back = col2im(&cols, 3, 3, 3, geom);
+        let back = col2im(&cols, x.shape(), geom);
         assert!(back.bitwise_eq(&x));
     }
 
@@ -601,6 +656,23 @@ mod tests {
         assert_eq!(y.shape(), &[1, 2, 2]);
         // Every output sees exactly the 4 real pixels.
         assert!(y.data().iter().all(|&v| v == 4.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid conv geometry")]
+    fn out_size_rejects_a_kernel_larger_than_the_padded_input() {
+        ConvGeom { kernel: 5, stride: 1, pad: 1 }.out_size(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be at least 1")]
+    fn out_size_rejects_a_zero_stride() {
+        ConvGeom { kernel: 3, stride: 0, pad: 1 }.out_size(8);
+    }
+
+    #[test]
+    fn out_size_accepts_a_kernel_equal_to_the_padded_input() {
+        assert_eq!(ConvGeom { kernel: 4, stride: 1, pad: 1 }.out_size(2), 1);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use tensor::kernels::{
     blocked_sum, blocked_sum_scalar, combine_partials_with_rot, leaf_partials, leaf_partials_scalar,
 };
 use tensor::ops::{
-    dot, dot_scalar, matmul, matmul_a_bt, matmul_a_bt_scalar, matmul_at_b, matmul_at_b_scalar,
-    matmul_scalar,
+    col2im, dot, dot_scalar, im2col, matmul, matmul_a_bt, matmul_a_bt_scalar, matmul_at_b,
+    matmul_at_b_scalar, matmul_scalar, ConvGeom,
 };
 use tensor::{KernelProfile, Tensor};
 
@@ -104,10 +104,12 @@ proptest! {
 
     /// All three row-vectorized matmul kernels ≡ their scalar oracles,
     /// bitwise, across random shapes (including K below, at, and far above
-    /// tile_k — the single-tile fast path and the combine path).
+    /// tile_k — the single-tile fast path and the combine path — and the
+    /// conv shapes: 8×72×64 weight gradients, 16×72×16, and mini-batch-wide
+    /// n = 512 forwards).
     #[test]
     fn matmuls_vectorized_eq_scalar(
-        m in 1usize..6, k in 1usize..200, n in 1usize..8,
+        m in 1usize..20, k in 1usize..200, n in 1usize..600,
         seed in any::<u32>(),
         profile in det_profile(),
     ) {
@@ -149,4 +151,108 @@ proptest! {
         }
         prop_assert!(fast.bitwise_eq(&Tensor::from_vec(slow, &[data.len()])));
     }
+
+    /// im2col / col2im (in-bounds run copies, mini-batch wide) ≡ the
+    /// per-element bounds-checked loops they replaced, bitwise, over random
+    /// batch/channel/size/kernel/stride/pad — col2im keeps every input
+    /// pixel's `(ky, kx)` addition order.
+    #[test]
+    fn im2col_col2im_eq_per_element_reference(
+        b in 1usize..4, cin in 1usize..4, h in 1usize..9, w in 1usize..9,
+        kernel in 1usize..5, stride in 1usize..4, pad in 0usize..3,
+        seed in any::<u32>(),
+    ) {
+        prop_assume!(h + 2 * pad >= kernel && w + 2 * pad >= kernel);
+        let geom = ConvGeom { kernel, stride, pad };
+        let (oh, ow) = (geom.out_size(h), geom.out_size(w));
+        let spatial = oh * ow;
+        let rows = cin * kernel * kernel;
+        let x = Tensor::from_vec(rough(b * cin * h * w, seed), &[b, cin, h, w]);
+        let cols = im2col(&x, geom);
+        prop_assert_eq!(cols.shape(), &[rows, b * spatial]);
+        let g = Tensor::from_vec(rough(rows * b * spatial, seed ^ 0x5555), &[rows, b * spatial]);
+        let back = col2im(&g, x.shape(), geom);
+        let plane = cin * h * w;
+        for i in 0..b {
+            let xi = &x.data()[i * plane..(i + 1) * plane];
+            let want = im2col_reference(xi, cin, h, w, geom);
+            let mut gi = Vec::with_capacity(rows * spatial);
+            for r in 0..rows {
+                let got = &cols.data()[r * b * spatial + i * spatial..][..spatial];
+                prop_assert_eq!(bits(got), bits(&want[r * spatial..(r + 1) * spatial]),
+                    "im2col sample {} row {} geom {:?}", i, r, geom);
+                gi.extend_from_slice(&g.data()[r * b * spatial + i * spatial..][..spatial]);
+            }
+            prop_assert_eq!(
+                bits(&back.data()[i * plane..(i + 1) * plane]),
+                bits(&col2im_reference(&gi, cin, h, w, geom)),
+                "col2im sample {} geom {:?}", i, geom
+            );
+        }
+        // A [cin,h,w] input is the one-sample batch.
+        let x0 = Tensor::from_vec(x.data()[..plane].to_vec(), &[cin, h, w]);
+        let cols0 = im2col(&x0, geom);
+        prop_assert_eq!(bits(cols0.data()), bits(&im2col_reference(x0.data(), cin, h, w, geom)));
+    }
+}
+
+/// Mixed-magnitude values from a hash of `(i, seed)`.
+fn rough(n: usize, seed: u32) -> Vec<f32> {
+    (0..n)
+        .map(|i| {
+            let h = (i as u32).wrapping_mul(2654435761).wrapping_add(seed);
+            (h % 1999) as f32 * 0.01 * 10f32.powi((h % 7) as i32 - 3) - 5.0
+        })
+        .collect()
+}
+
+/// One sample's im2col with a bounds check per element.
+fn im2col_reference(x: &[f32], cin: usize, h: usize, w: usize, geom: ConvGeom) -> Vec<f32> {
+    let (oh, ow) = (geom.out_size(h), geom.out_size(w));
+    let k = geom.kernel;
+    let mut out = vec![0.0f32; cin * k * k * oh * ow];
+    for c in 0..cin {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = (c * k + ky) * k + kx;
+                for oy in 0..oh {
+                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+                    for ox in 0..ow {
+                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+                        if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
+                            out[row * oh * ow + oy * ow + ox] =
+                                x[(c * h + iy as usize) * w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// One sample's col2im with a bounds check per element, accumulating in
+/// `(c, ky, kx, oy, ox)` loop order.
+fn col2im_reference(cols: &[f32], cin: usize, h: usize, w: usize, geom: ConvGeom) -> Vec<f32> {
+    let (oh, ow) = (geom.out_size(h), geom.out_size(w));
+    let k = geom.kernel;
+    let mut out = vec![0.0f32; cin * h * w];
+    for c in 0..cin {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = (c * k + ky) * k + kx;
+                for oy in 0..oh {
+                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+                    for ox in 0..ow {
+                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+                        if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
+                            out[(c * h + iy as usize) * w + ix as usize] +=
+                                cols[row * oh * ow + oy * ow + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
 }

@@ -269,22 +269,27 @@ fn run_suite(opts: &SuiteOpts) -> Vec<BenchResult> {
         }
     }
 
-    // One full global step on the persistent pool (the default backend):
-    // the engine's per-step fan-out, drain, reduce and apply round trips at
-    // W workers. The math is bitwise identical to the single-thread engine
+    // One full global step of the NeuMF job on the persistent pool (the
+    // default backend) and on the single-thread engine: the pool's per-step
+    // fan-out, drain and apply round trips at W workers, against the same
+    // job with none. The math is bitwise identical across the two
     // (faultsim/tests/nthread_eq_single.rs).
-    for workers in [4u32, 8] {
-        let name = format!("engine_step_pool_w{workers}");
+    let engine_benches = [
+        ("pool", ExecMode::Pool, 4u32),
+        ("pool", ExecMode::Pool, 8),
+        ("single", ExecMode::SingleThread, 1),
+        ("single", ExecMode::SingleThread, 4),
+        ("single", ExecMode::SingleThread, 8),
+    ];
+    for (tag, mode, workers) in engine_benches {
+        let name = format!("engine_step_{tag}_w{workers}");
         if !selected(&name) {
             continue;
         }
         let cfg =
             JobConfig::new(Workload::NeuMF, 7, workers).with_dataset_len(512).with_batch_size(1);
-        let exec = ExecOptions {
-            mode: ExecMode::Pool,
-            device_ids: (0..workers).collect(),
-            ..ExecOptions::default()
-        };
+        let exec =
+            ExecOptions { mode, device_ids: (0..workers).collect(), ..ExecOptions::default() };
         let mut e = Engine::new_opts(cfg, Placement::one_est_per_gpu(workers, GpuType::V100), exec);
         e.step(); // warm: first step rebuilds the bucket layout
         record(
@@ -296,17 +301,24 @@ fn run_suite(opts: &SuiteOpts) -> Vec<BenchResult> {
         );
     }
 
-    // The ResNet18 proxy's training step as the benchmark's
-    // `train_compute` workload runs it: nEST 8 on 2 V100 workers (4+4),
-    // batch 8, pool backend — forward/backward dominates.
-    if selected("engine_step_resnet18_w2") {
+    // The ResNet18 proxy's training step: nEST 8, batch 8, pool backend —
+    // forward/backward dominates. At w2 (4+4 ESTs) it is the benchmark's
+    // `train_compute` workload; w4 spreads the same ESTs 2+2+2+2.
+    for workers in [2u32, 4] {
+        let name = format!("engine_step_resnet18_w{workers}");
+        if !selected(&name) {
+            continue;
+        }
         let cfg = JobConfig::new(Workload::ResNet18, 7, 8).with_dataset_len(512);
-        let exec =
-            ExecOptions { mode: ExecMode::Pool, device_ids: vec![0, 1], ..ExecOptions::default() };
-        let mut e = Engine::new_opts(cfg, Placement::homogeneous(8, 2, GpuType::V100), exec);
+        let exec = ExecOptions {
+            mode: ExecMode::Pool,
+            device_ids: (0..workers).collect(),
+            ..ExecOptions::default()
+        };
+        let mut e = Engine::new_opts(cfg, Placement::homogeneous(8, workers, GpuType::V100), exec);
         e.step();
         record(
-            "engine_step_resnet18_w2",
+            &name,
             scale(5),
             measure(samples, scale(5), scale(2), || {
                 black_box(e.step());

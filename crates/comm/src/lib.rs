@@ -27,7 +27,7 @@ pub mod exchange;
 pub mod heartbeat;
 pub mod retry;
 
-pub use allreduce::{ring_allreduce, ring_allreduce_gather, ring_allreduce_scalar, RingSpec};
+pub use allreduce::{ring_allreduce, ring_allreduce_scalar, RingSpec};
 pub use bucket::{BucketLayout, DEFAULT_BUCKET_CAP_BYTES};
 pub use exchange::{DrainError, Exchange, ExchangeTx};
 pub use heartbeat::{Heartbeat, HeartbeatBus};
@@ -109,80 +109,6 @@ impl ElasticDdp {
         for v in &mut out {
             *v *= scale;
         }
-        out
-    }
-
-    /// The bucket indices partition `part` (of `parts`) owns under the
-    /// fixed round-robin merge partition: bucket `b` belongs to partition
-    /// `b % parts`. The assignment is a pure function of (layout, parts),
-    /// never of timing, so splitting the merge-side reduction across
-    /// workers cannot move a bucket between accumulation trees.
-    pub fn partition_buckets(&self, part: usize, parts: usize) -> Vec<usize> {
-        assert!(parts > 0, "need at least one partition");
-        assert!(part < parts, "partition index out of range");
-        (0..self.layout.num_buckets()).filter(|b| b % parts == part).collect()
-    }
-
-    /// Ring-reduce only the given `buckets`, returning each bucket's summed
-    /// values in bucket-position order. Every bucket's accumulation tree is
-    /// the same [`ring_allreduce`] the monolithic [`ElasticDdp::allreduce_avg`]
-    /// runs — per-element and in fixed chunk order — so reducing a bucket
-    /// here or there produces identical bits; only *where* it is computed
-    /// changes. Pairs with [`ElasticDdp::assemble_avg`].
-    pub fn reduce_buckets(&self, grads: &[Vec<f32>], buckets: &[usize]) -> Vec<(usize, Vec<f32>)> {
-        assert_eq!(grads.len(), self.vworld as usize, "expected one gradient per virtual rank");
-        let n = grads[0].len();
-        assert!(grads.iter().all(|g| g.len() == n), "gradient length mismatch across ranks");
-        let views: Vec<&[f32]> = grads.iter().map(|g| g.as_slice()).collect();
-        let spec = RingSpec { nranks: self.vworld as usize };
-        let mut out = Vec::with_capacity(buckets.len());
-        for &b in buckets {
-            let positions = self.layout.bucket_positions(&self.layout.buckets()[b]);
-            // Bucket-ordered reduction: same per-element tree as the
-            // monolithic path, no full-gradient-width scratch in between.
-            out.push((b, ring_allreduce_gather(&views, &positions, &spec)));
-        }
-        obs::counter_add("comm.bucket_fills", buckets.len() as u64);
-        out
-    }
-
-    /// Assemble per-bucket partial sums (from any number of
-    /// [`ElasticDdp::reduce_buckets`] calls, in any order) into the averaged
-    /// flat gradient. Placement of values is keyed by bucket position —
-    /// buckets are disjoint — and the final scale is the same single
-    /// multiply [`ElasticDdp::allreduce_avg`] applies, so the result is
-    /// bitwise identical to the monolithic reduction. Panics unless the
-    /// parts cover every bucket exactly once.
-    pub fn assemble_avg(&self, parts: &[(usize, Vec<f32>)]) -> Vec<f32> {
-        let n = self.layout.total_elements();
-        let mut out = vec![0.0f32; n];
-        let mut seen = vec![false; self.layout.num_buckets()];
-        for (b, values) in parts {
-            assert!(!seen[*b], "bucket {b} reduced twice");
-            seen[*b] = true;
-            let positions = self.layout.bucket_positions(&self.layout.buckets()[*b]);
-            assert_eq!(positions.len(), values.len(), "bucket {b} value count mismatch");
-            // Placement by maximal contiguous runs: bucket positions are
-            // concatenations of whole-parameter ranges, so this is a handful
-            // of memcpys instead of one scatter store per element.
-            let mut i = 0;
-            while i < positions.len() {
-                let start = positions[i];
-                let mut j = i + 1;
-                while j < positions.len() && positions[j] == positions[j - 1] + 1 {
-                    j += 1;
-                }
-                out[start..start + (j - i)].copy_from_slice(&values[i..j]);
-                i = j;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "partial reduction must cover every bucket");
-        let scale = 1.0 / self.vworld as f32;
-        for v in &mut out {
-            *v *= scale;
-        }
-        obs::counter_add("comm.allreduce_calls", 1);
-        obs::counter_add("comm.allreduce_bytes", (n * self.vworld as usize * 4) as u64);
         out
     }
 
@@ -310,65 +236,5 @@ mod tests {
     fn world_size_is_enforced() {
         let ddp = ElasticDdp::new(&[10], 4, 64);
         ddp.allreduce_avg(&grads(3, 10));
-    }
-
-    #[test]
-    fn partition_covers_every_bucket_exactly_once() {
-        let ddp = ElasticDdp::new(&[100, 50, 200, 30], 4, 256);
-        for parts in 1..=5 {
-            let mut seen = vec![0u32; ddp.layout().num_buckets()];
-            for part in 0..parts {
-                for b in ddp.partition_buckets(part, parts) {
-                    seen[b] += 1;
-                }
-            }
-            assert!(seen.iter().all(|&c| c == 1), "parts={parts} cover {seen:?}");
-        }
-    }
-
-    #[test]
-    fn partitioned_reduce_matches_monolithic_bitwise() {
-        // The tentpole's correctness core: splitting the merge reduction
-        // across any number of partitions — the parallel engine uses one
-        // per worker thread — and reassembling must reproduce the
-        // monolithic allreduce bit-for-bit, because each bucket keeps its
-        // fixed accumulation tree no matter which partition runs it.
-        let ddp = ElasticDdp::new(&[128, 64, 300, 17, 90], 4, 512);
-        let g = grads(4, 599);
-        let plain = ddp.allreduce_avg(&g);
-        for parts in 1..=5 {
-            let partials: Vec<(usize, Vec<f32>)> = (0..parts)
-                .flat_map(|p| ddp.reduce_buckets(&g, &ddp.partition_buckets(p, parts)))
-                .collect();
-            let assembled = ddp.assemble_avg(&partials);
-            assert!(
-                plain.iter().zip(&assembled).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "parts={parts} changed bits"
-            );
-        }
-    }
-
-    #[test]
-    fn assemble_is_insensitive_to_part_arrival_order() {
-        // The engine drains partials in canonical key order, but assembly
-        // itself keys placement by bucket index, so even a permuted drain
-        // would assemble the same bits — defense in depth against D1.
-        let ddp = ElasticDdp::new(&[64, 64, 64], 2, 128);
-        let g = grads(2, 192);
-        let mut partials: Vec<(usize, Vec<f32>)> =
-            (0..3).flat_map(|p| ddp.reduce_buckets(&g, &ddp.partition_buckets(p, 3))).collect();
-        let forward = ddp.assemble_avg(&partials);
-        partials.reverse();
-        let reversed = ddp.assemble_avg(&partials);
-        assert!(forward.iter().zip(&reversed).all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every bucket")]
-    fn assemble_rejects_missing_buckets() {
-        let ddp = ElasticDdp::new(&[100, 100], 2, 128);
-        let g = grads(2, 200);
-        let partials = ddp.reduce_buckets(&g, &ddp.partition_buckets(0, 2));
-        let _ = ddp.assemble_avg(&partials);
     }
 }

@@ -9,9 +9,8 @@
 //! only on rescale; the engine drives them over per-worker command channels
 //! and consumes their results through canonical-order exchange drains, so
 //! thread interleaving cannot influence a single output bit (the N-thread
-//! ≡ 1-thread invariant — docs/PARALLELISM.md). The merge-side ring
-//! reduction is itself parallelized across workers over a fixed bucket
-//! partition, bitwise identical to the monolithic all-reduce.
+//! ≡ 1-thread invariant — docs/PARALLELISM.md). The merge — all-reduce,
+//! optimizer, mirror update — runs on the engine thread for every backend.
 
 use crate::checkpoint::JobCheckpoint;
 use crate::determinism::{fresh_ready_order, restart_ready_order};
@@ -100,22 +99,6 @@ impl Backend {
         }
     }
 
-    /// The averaged flat gradient over virtual ranks. Monolithic on the
-    /// caller's thread for inline backends; partitioned across the pool
-    /// otherwise — bitwise identical either way, supervised like
-    /// [`Backend::run_steps`].
-    fn reduce(
-        &mut self,
-        ddp: &Arc<ElasticDdp>,
-        grads: &Arc<Vec<Vec<f32>>>,
-        respawn: &mut RespawnFn<'_>,
-    ) -> (Vec<f32>, Vec<PoolError>) {
-        match self {
-            Backend::Inline { .. } => (ddp.allreduce_avg(grads), Vec::new()),
-            Backend::Pool(pool) => pool.reduce_supervised(ddp, grads, respawn),
-        }
-    }
-
     /// Apply the optimizer delta to every replica.
     fn apply(&mut self, delta: &Arc<Vec<f32>>) {
         match self {
@@ -176,8 +159,7 @@ pub struct PoolRecovery {
     /// Deterministic detection latency in virtual microseconds: the drain
     /// policy's total backoff budget ([`RetryPolicy::total_backoff_us`]).
     pub virtual_latency_us: u64,
-    /// Which pool interaction detected the fault (`step` / `reduce` /
-    /// `checkpoint`).
+    /// Which pool interaction detected the fault (`step` / `checkpoint`).
     pub phase: &'static str,
 }
 
@@ -228,7 +210,7 @@ pub struct Engine {
     params: Vec<f32>,
     /// Number of parameter tensors (for bucket rebuild orders).
     n_param_tensors: usize,
-    ddp: Arc<ElasticDdp>,
+    ddp: ElasticDdp,
     opt: Sgd,
     global_step: u64,
     steps_per_epoch: u64,
@@ -262,7 +244,7 @@ impl Engine {
         let param_sizes = workers[0].model().param_sizes();
         let n_params: usize = param_sizes.iter().sum();
         let params = workers[0].flat_params();
-        let ddp = Arc::new(ElasticDdp::new(&param_sizes, config.n_ests, config.bucket_cap_bytes));
+        let ddp = ElasticDdp::new(&param_sizes, config.n_ests, config.bucket_cap_bytes);
         let opt = Sgd::new(n_params, config.momentum, config.weight_decay);
         let steps_per_epoch = Self::compute_steps_per_epoch(&config);
         let backend = Backend::build(workers, &exec);
@@ -329,7 +311,7 @@ impl Engine {
             backend,
             params: ckpt.params.clone(),
             n_param_tensors,
-            ddp: Arc::new(ddp),
+            ddp,
             opt,
             global_step: ckpt.global_step,
             steps_per_epoch,
@@ -460,35 +442,16 @@ impl Engine {
         debug_assert_eq!(locals.len(), self.config.n_ests as usize);
 
         let losses: Vec<f32> = locals.iter().map(|l| l.loss).collect();
-        let grads: Arc<Vec<Vec<f32>>> = Arc::new(locals.into_iter().map(|l| l.grad).collect());
+        let grads: Vec<Vec<f32>> = locals.into_iter().map(|l| l.grad).collect();
 
-        // Gradient synchronization over virtual ranks, under the bounded
-        // retry policy. A successful retried all-reduce is bitwise
-        // identical to an unfaulted one (comm::retry), so transient faults
-        // never reach the parameters. The reduction itself is partitioned
-        // across the worker pool (fixed bucket partition — same bits) and
-        // supervised the same way as the step round.
-        let policy = self.comm_retry;
-        let mut reduce_faults: Vec<PoolError> = Vec::new();
-        let (avg, _retry_stats) = {
-            let config = &self.config;
-            let placement = &self.placement;
-            let params = &self.params;
-            let ddp = &self.ddp;
-            let backend = &mut self.backend;
-            let reduce_faults = &mut reduce_faults;
-            let mut respawn = |err: &PoolError, snap: &WorkerSnapshot| {
-                build_replacement(config, placement, params, err.worker(), snap)
-            };
-            comm::retry_reduce(&policy, &mut self.comm_faults, || {
-                let (avg, faults) = backend.reduce(ddp, &grads, &mut respawn);
-                reduce_faults.extend(faults);
-                avg
-            })?
-        };
-        self.pool_recoveries.extend(
-            reduce_faults.iter().map(|e| PoolRecovery::record(step, e, latency_us, "reduce")),
-        );
+        // Gradient synchronization over virtual ranks, on this thread for
+        // every backend, under the bounded retry policy. A successful
+        // retried all-reduce is bitwise identical to an unfaulted one
+        // (comm::retry), so transient faults never reach the parameters.
+        let (avg, _retry_stats) =
+            comm::retry_reduce(&self.comm_retry, &mut self.comm_faults, || {
+                self.ddp.allreduce_avg(&grads)
+            })?;
 
         // One optimizer update, applied identically to every replica (and
         // to the engine-side mirror — elementwise, so bitwise equal).
@@ -507,8 +470,7 @@ impl Engine {
             } else {
                 fresh_ready_order(self.n_param_tensors)
             };
-            Arc::make_mut(&mut self.ddp)
-                .rebuild_from_ready_order(&order, self.config.bucket_cap_bytes);
+            self.ddp.rebuild_from_ready_order(&order, self.config.bucket_cap_bytes);
         }
         drop(merge_span);
         obs::counter_add("engine.steps_total", 1);

@@ -10,9 +10,9 @@
 //! since PR 9, when a worker *faults* and the supervisor replaces it.
 //!
 //! Determinism story (docs/PARALLELISM.md): worker threads run local steps
-//! and merge-side bucket reductions concurrently, so *completion* order is
-//! up to the OS scheduler — classic D1 entropy. Every result crosses back to
-//! the engine through one of two fences:
+//! concurrently, so *completion* order is up to the OS scheduler — classic
+//! D1 entropy. Every result crosses back to the engine through one of two
+//! fences:
 //!
 //! - an [`Exchange`] keyed by worker index, drained with
 //!   [`Exchange::drain_sorted`] / [`Exchange::drain_deadline`] (declared
@@ -40,7 +40,7 @@
 use crate::est::EstContext;
 use crate::worker::{EasyScaleWorker, LocalStep};
 use comm::exchange::{channel, Receiver, RecvTimeoutError, Sender};
-use comm::{ElasticDdp, Exchange, ExchangeTx, RetryPolicy};
+use comm::{Exchange, ExchangeTx, RetryPolicy};
 use data::LoaderCheckpoint;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -239,9 +239,6 @@ enum Cmd {
         /// Learning rate of this global step (echoed; local steps don't use it).
         lr: f32,
     },
-    /// Ring-reduce this worker's bucket partition of `grads` and publish
-    /// the partial sums under round `seq`.
-    Reduce { seq: u64, ddp: Arc<ElasticDdp>, grads: Arc<Vec<Vec<f32>>>, parts: usize },
     /// Apply the (identical-everywhere) optimizer delta to the replica.
     Apply(Arc<Vec<f32>>),
     /// Reply with a [`WorkerSnapshot`].
@@ -257,8 +254,8 @@ enum Cmd {
     Exit,
 }
 
-/// One worker→engine reply (for request/response commands; step and reduce
-/// results travel through the keyed exchanges instead).
+/// One worker→engine reply (for request/response commands; step results
+/// travel through the keyed exchange instead).
 enum Reply {
     Snapshot(Box<WorkerSnapshot>),
     Worker(Box<EasyScaleWorker>),
@@ -277,21 +274,12 @@ struct StepBatch {
     recovery: WorkerSnapshot,
 }
 
-/// What a worker publishes after a `Reduce` command: the partial bucket
-/// sums plus the same stale-result fence fields as [`StepBatch`].
-struct PartialBatch {
-    seq: u64,
-    thread: ThreadId,
-    parts: Vec<(usize, Vec<f32>)>,
-}
-
-/// The persistent pool: command senders, reply receivers, and the two keyed
-/// exchanges the worker threads publish into.
+/// The persistent pool: command senders, reply receivers, and the keyed
+/// exchange the worker threads publish step results into.
 pub struct WorkerPool {
     cmds: Vec<Sender<Cmd>>,
     replies: Vec<Receiver<Reply>>,
     steps: Exchange<StepBatch>,
-    partials: Exchange<PartialBatch>,
     /// Live thread handles; `None` only transiently inside a recovery.
     threads: Vec<Option<JoinHandle<()>>>,
     /// Unresponsive threads the supervisor gave up on: unparked and written
@@ -326,7 +314,6 @@ impl WorkerPool {
         assert!(n > 0, "pool needs at least one worker");
         let recovery: Vec<WorkerSnapshot> = workers.iter().map(WorkerSnapshot::capture).collect();
         let mut steps: Exchange<StepBatch> = Exchange::new();
-        let mut partials: Exchange<PartialBatch> = Exchange::new();
         let mut cmds = Vec::with_capacity(n);
         let mut replies = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
@@ -337,12 +324,9 @@ impl WorkerPool {
             let (cmd_tx, cmd_rx) = channel();
             let (reply_tx, reply_rx) = channel();
             let step_tx = steps.handle();
-            let partial_tx = partials.handle();
             let handle = std::thread::Builder::new()
                 .name(format!("esw-dev{dev}"))
-                .spawn(move || {
-                    worker_main(i as u64, Box::new(worker), cmd_rx, reply_tx, step_tx, partial_tx)
-                })
+                .spawn(move || worker_main(i as u64, Box::new(worker), cmd_rx, reply_tx, step_tx))
                 .expect("failed to spawn worker thread");
             ids.push(handle.thread().id());
             threads.push(Some(handle));
@@ -354,13 +338,11 @@ impl WorkerPool {
         // replacement handles through the post-seal recovery door when it
         // respawns a faulted worker.
         steps.seal();
-        partials.seal();
         obs::counter_add("engine.pool.spawns_total", n as u64);
         WorkerPool {
             cmds,
             replies,
             steps,
-            partials,
             threads,
             quarantined: Vec::new(),
             ids,
@@ -510,100 +492,6 @@ impl WorkerPool {
         (out, errors)
     }
 
-    /// One parallel merge-side reduction: every worker ring-reduces its
-    /// fixed bucket partition, the engine drains the partials in canonical
-    /// order and assembles the averaged flat gradient. Bitwise identical to
-    /// [`ElasticDdp::allreduce_avg`] — see `comm`'s
-    /// `partitioned_reduce_matches_monolithic_bitwise` test.
-    ///
-    /// Fault-oblivious, like [`WorkerPool::run_steps`]; the engine uses
-    /// [`WorkerPool::reduce_supervised`].
-    pub fn reduce(&mut self, ddp: &Arc<ElasticDdp>, grads: &Arc<Vec<Vec<f32>>>) -> Vec<f32> {
-        let n = self.len();
-        self.seq += 1;
-        let seq = self.seq;
-        for tx in &self.cmds {
-            tx.send(Cmd::Reduce { seq, ddp: Arc::clone(ddp), grads: Arc::clone(grads), parts: n })
-                .expect("worker thread died");
-        }
-        let drained = {
-            let _drain_span = obs::span("engine.drain_wait");
-            self.partials.drain_sorted(n)
-        };
-        let parts: Vec<(usize, Vec<f32>)> =
-            drained.into_iter().flat_map(|(_, p)| p.parts).collect();
-        ddp.assemble_avg(&parts)
-    }
-
-    /// [`WorkerPool::reduce`] under supervision, mirroring
-    /// [`WorkerPool::run_steps_supervised`]: faulted workers are reaped,
-    /// replaced, and re-commanded with the same round, and the assembled
-    /// gradient is bitwise identical to a fault-free reduction (partial
-    /// reductions are pure functions of `ddp`/`grads`/slot, so a replacement
-    /// recomputes exactly the lost partials).
-    pub fn reduce_supervised(
-        &mut self,
-        ddp: &Arc<ElasticDdp>,
-        grads: &Arc<Vec<Vec<f32>>>,
-        respawn: &mut RespawnFn<'_>,
-    ) -> (Vec<f32>, Vec<PoolError>) {
-        let n = self.len();
-        self.seq += 1;
-        let seq = self.seq;
-        let send = |cmds: &[Sender<Cmd>], i: usize| {
-            cmds[i].send(Cmd::Reduce {
-                seq,
-                ddp: Arc::clone(ddp),
-                grads: Arc::clone(grads),
-                parts: n,
-            })
-        };
-        let mut errors: Vec<PoolError> = Vec::new();
-        for i in 0..n {
-            if send(&self.cmds, i).is_err() {
-                let err = self.recover(i, respawn);
-                send(&self.cmds, i).expect("respawned worker died");
-                errors.push(err);
-            }
-        }
-        let mut got: BTreeMap<u64, PartialBatch> = BTreeMap::new();
-        let mut rounds = 0usize;
-        while got.len() < n {
-            rounds += 1;
-            assert!(rounds <= 8 * n + 8, "supervised reduce drain did not converge");
-            let need = n - got.len();
-            let drained = {
-                let _drain_span = obs::span("engine.drain_wait");
-                self.partials.drain_deadline(need, &self.drain)
-            };
-            match drained {
-                Ok(batches) => {
-                    for (key, batch) in batches {
-                        if batch.seq != seq || batch.thread != self.ids[key as usize] {
-                            continue;
-                        }
-                        got.insert(key, batch);
-                    }
-                }
-                Err(err) => {
-                    obs::counter_add("engine.drain_timeout", 1);
-                    let missing: Vec<usize> = (0..n)
-                        .filter(|&i| {
-                            !got.contains_key(&(i as u64)) && !err.received().contains(&(i as u64))
-                        })
-                        .collect();
-                    for i in missing {
-                        let perr = self.recover(i, respawn);
-                        send(&self.cmds, i).expect("respawned worker died");
-                        errors.push(perr);
-                    }
-                }
-            }
-        }
-        let parts: Vec<(usize, Vec<f32>)> = got.into_values().flat_map(|p| p.parts).collect();
-        (ddp.assemble_avg(&parts), errors)
-    }
-
     /// Broadcast the optimizer delta. Fire-and-forget: per-worker FIFO
     /// ordering guarantees it is applied before any later command. A dead
     /// worker misses the send harmlessly — its replacement is reseeded from
@@ -723,7 +611,7 @@ impl WorkerPool {
 
     /// Spawn `worker` as slot `i`'s replacement thread: fresh command and
     /// reply channels (dropping the old sender tells a quarantined thread to
-    /// exit), replacement publish handles on the sealed exchanges, and a new
+    /// exit), a replacement publish handle on the sealed exchange, and a new
     /// `esw-dev<id>` thread under the slot's stable device id.
     // Audited fence, same as `spawn`: raw mpsc per-worker channels.
     #[allow(clippy::disallowed_methods)]
@@ -732,10 +620,9 @@ impl WorkerPool {
         let (cmd_tx, cmd_rx) = channel();
         let (reply_tx, reply_rx) = channel();
         let step_tx = self.steps.replacement_handle();
-        let partial_tx = self.partials.replacement_handle();
         let handle = std::thread::Builder::new()
             .name(format!("esw-dev{dev}"))
-            .spawn(move || worker_main(i as u64, worker, cmd_rx, reply_tx, step_tx, partial_tx))
+            .spawn(move || worker_main(i as u64, worker, cmd_rx, reply_tx, step_tx))
             .expect("failed to respawn worker thread");
         self.ids[i] = handle.thread().id();
         self.threads[i] = Some(handle);
@@ -877,7 +764,6 @@ fn worker_main(
     cmds: Receiver<Cmd>,
     replies: Sender<Reply>,
     steps: ExchangeTx<StepBatch>,
-    partials: ExchangeTx<PartialBatch>,
 ) {
     // `None` while the worker is lent to the engine thread for evaluation.
     let mut slot: Option<Box<EasyScaleWorker>> = Some(worker);
@@ -926,17 +812,6 @@ fn worker_main(
                         thread: std::thread::current().id(),
                         steps: local,
                         recovery,
-                    },
-                );
-            }
-            Cmd::Reduce { seq, ddp, grads, parts } => {
-                let mine = ddp.partition_buckets(key as usize, parts);
-                partials.publish(
-                    key,
-                    PartialBatch {
-                        seq,
-                        thread: std::thread::current().id(),
-                        parts: ddp.reduce_buckets(&grads, &mine),
                     },
                 );
             }
@@ -1042,20 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_reduce_matches_monolithic_bitwise() {
-        let (cfg, workers) = make_workers(4, 4);
-        let sizes = workers[0].model().param_sizes();
-        let mut pool = WorkerPool::spawn(workers, &[], RetryPolicy::default());
-        let mut locals = pool.run_steps(0, 0.05);
-        locals.sort_by_key(|l| l.vrank);
-        let grads: Arc<Vec<Vec<f32>>> = Arc::new(locals.into_iter().map(|l| l.grad).collect());
-        let ddp = Arc::new(ElasticDdp::new(&sizes, cfg.n_ests, cfg.bucket_cap_bytes));
-        let plain = ddp.allreduce_avg(&grads);
-        let pooled = pool.reduce(&ddp, &grads);
-        assert!(plain.iter().zip(&pooled).all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
     fn lend_and_restore_round_trip() {
         let (_, workers) = make_workers(2, 2);
         let mut pool = WorkerPool::spawn(workers, &[], RetryPolicy::default());
@@ -1144,40 +1005,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Supervised reduce survives a worker killed mid-protocol and still
-    /// assembles the monolithic-bitwise gradient.
-    #[test]
-    fn supervised_reduce_recovers_a_panicked_worker_bitwise() {
-        let n_ests = 4u32;
-        let gpus = 4u32;
-        let cfg = JobConfig::new(Workload::ResNet18, 7, n_ests).with_dataset_len(128);
-        let placement = Placement::homogeneous(n_ests, gpus, GpuType::V100);
-        let workers: Vec<EasyScaleWorker> =
-            placement.slots.iter().map(|s| EasyScaleWorker::new(&cfg, s)).collect();
-        let sizes = workers[0].model().param_sizes();
-        let mirror = workers[0].flat_params();
-        let mut pool = WorkerPool::spawn(workers, &[], fast_drain());
-        let mut log = Vec::new();
-
-        // Kill worker 2 via an armed panic consumed during a step round.
-        pool.arm_fault(2, ThreadFault::Panic);
-        let (mut locals, errors) = {
-            let mut respawn = respawner(&cfg, &placement, &mirror, &mut log);
-            pool.run_steps_supervised(0, 0.05, &mut respawn)
-        };
-        assert_eq!(errors.len(), 1);
-        locals.sort_by_key(|l| l.vrank);
-        let grads: Arc<Vec<Vec<f32>>> = Arc::new(locals.into_iter().map(|l| l.grad).collect());
-        let ddp = Arc::new(ElasticDdp::new(&sizes, cfg.n_ests, cfg.bucket_cap_bytes));
-        let plain = ddp.allreduce_avg(&grads);
-        let (pooled, reduce_errors) = {
-            let mut respawn = respawner(&cfg, &placement, &mirror, &mut log);
-            pool.reduce_supervised(&ddp, &grads, &mut respawn)
-        };
-        assert!(reduce_errors.is_empty(), "replacement serves the reduce cleanly");
-        assert!(plain.iter().zip(&pooled).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     /// Supervised snapshots replace a stalled worker and return the exact

@@ -1,14 +1,11 @@
 //! The Pool merge path is bitwise unchanged by the kernel vectorization.
 //!
-//! `nthread_eq_single`-style check, one level deeper: the persistent
-//! worker-pool's partitioned merge (`WorkerPool::reduce`, which fans
-//! `reduce_buckets` out across worker threads and drains partials in
-//! canonical order) must still reproduce — bit for bit — a from-scratch
-//! oracle built on the *scalar* ring kernel, proving the vectorized
-//! `ring_allreduce_gather` the pool now rides on changed no accumulation
-//! tree anywhere in the merge.
-
-use std::sync::Arc;
+//! `nthread_eq_single`-style check, one level deeper: the gradients the
+//! persistent worker pool produces (drained in canonical order, sorted by
+//! virtual rank) go through the engine-thread `ElasticDdp::allreduce_avg`,
+//! exactly as `Engine::try_step` runs it, and must reproduce — bit for bit
+//! — a from-scratch oracle built on the *scalar* ring kernel, proving the
+//! vectorized `ring_allreduce` changed no accumulation tree in the merge.
 
 use comm::{ring_allreduce_scalar, ElasticDdp, RetryPolicy, RingSpec};
 use device::GpuType;
@@ -32,10 +29,10 @@ fn scalar_oracle_avg(ddp: &ElasticDdp, grads: &[Vec<f32>]) -> Vec<f32> {
 }
 
 #[test]
-fn pool_reduce_matches_scalar_oracle_bitwise() {
-    // Several worker counts: the bucket→partition assignment changes with
-    // the thread count, so each W exercises a different merge fan-out; every
-    // one must land on the same oracle bits.
+fn pool_gradients_allreduce_to_the_scalar_oracle_bitwise() {
+    // Several worker counts: each W spreads the ESTs over a different set of
+    // pool threads; every one must land on the same oracle bits.
+    let mut first: Option<Vec<u32>> = None;
     for gpus in [1u32, 2, 3, 4] {
         let n_ests = 4u32;
         let cfg = JobConfig::new(Workload::ResNet18, 7, n_ests).with_dataset_len(128);
@@ -47,15 +44,19 @@ fn pool_reduce_matches_scalar_oracle_bitwise() {
 
         let mut locals = pool.run_steps(0, 0.05);
         locals.sort_by_key(|l| l.vrank);
-        let grads: Arc<Vec<Vec<f32>>> = Arc::new(locals.into_iter().map(|l| l.grad).collect());
-        let ddp = Arc::new(ElasticDdp::new(&sizes, cfg.n_ests, cfg.bucket_cap_bytes));
+        let grads: Vec<Vec<f32>> = locals.into_iter().map(|l| l.grad).collect();
+        let ddp = ElasticDdp::new(&sizes, cfg.n_ests, cfg.bucket_cap_bytes);
 
         let oracle = scalar_oracle_avg(&ddp, &grads);
-        let pooled = pool.reduce(&ddp, &grads);
-        assert_eq!(pooled.len(), oracle.len());
-        assert!(
-            pooled.iter().zip(&oracle).all(|(a, b)| a.to_bits() == b.to_bits()),
+        let merged = ddp.allreduce_avg(&grads);
+        assert_eq!(merged.len(), oracle.len());
+        let bits: Vec<u32> = merged.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            bits,
+            oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "pool merge diverged from the scalar oracle at gpus={gpus}"
         );
+        // And the merged gradient does not depend on the worker count.
+        assert_eq!(first.get_or_insert_with(|| bits.clone()), &bits, "gpus={gpus}");
     }
 }

@@ -9,7 +9,7 @@
 use crate::model::{ExecCtx, Layer};
 use esrng::EsRng;
 use tensor::ops::{self, ConvGeom};
-use tensor::{KernelProfile, Tensor};
+use tensor::{scratch, KernelProfile, Tensor};
 
 /// Conv2d: input `[B, cin, h, w]` → output `[B, cout, oh, ow]`.
 pub struct Conv2d {
@@ -25,9 +25,10 @@ pub struct Conv2d {
 }
 
 struct Cached {
-    /// Mini-batch im2col matrix `[cin*k*k, B*oh*ow]`; sample `i` owns
-    /// columns `i*oh*ow..(i+1)*oh*ow`.
-    cols: Tensor,
+    /// Mini-batch im2col matrix `[cin*k*k, B*oh*ow]`, a per-thread scratch
+    /// buffer given back once the backward pass has used it; sample `i`
+    /// owns columns `i*oh*ow..(i+1)*oh*ow`.
+    cols: Vec<f32>,
     /// Input shape `[B, cin, h, w]`.
     in_shape: [usize; 4],
 }
@@ -65,30 +66,45 @@ impl Conv2d {
         (self.geom.out_size(h), self.geom.out_size(w))
     }
 
+    /// Rows of the im2col matrix: `cin * k * k`.
+    fn rows(&self) -> usize {
+        self.cin * self.geom.kernel * self.geom.kernel
+    }
+
     /// Parameter-gradient half of the backward pass, per sample in sample
-    /// order: `dW += g_i · cols_iᵀ` and `db += row sums of g_i`.
+    /// order: `dW += g_i · cols_iᵀ` and `db += row sums of g_i`. `cols_iᵀ`
+    /// is gathered straight from the batch matrix and the product lands in
+    /// a reused buffer, both per-thread scratch.
     fn accumulate_param_grads(&mut self, grad: &Tensor, cached: &Cached, profile: &KernelProfile) {
         let [b, _, h, w] = cached.in_shape;
         let (oh, ow) = self.out_dims(h, w);
         let spatial = oh * ow;
         let out_plane = self.cout * spatial;
         assert_eq!(grad.shape(), &[b, self.cout, oh, ow], "grad shape mismatch");
-        let rows = cached.cols.shape()[0];
+        let rows = self.rows();
         let ncols = b * spatial;
-        let cd = cached.cols.data();
+        let cd = &cached.cols;
+        let mut col_t = scratch::take_zeroed(spatial * rows);
+        let mut dw = scratch::take_zeroed(self.cout * rows);
         for i in 0..b {
-            let gi = &grad.data()[i * out_plane..(i + 1) * out_plane];
-            let g = Tensor::from_vec(gi.to_vec(), &[self.cout, spatial]);
-            let mut col = Tensor::zeros(&[rows, spatial]);
-            for (r, dst) in col.data_mut().chunks_exact_mut(spatial).enumerate() {
-                dst.copy_from_slice(&cd[r * ncols + i * spatial..][..spatial]);
+            for r in 0..rows {
+                let src = &cd[r * ncols + i * spatial..][..spatial];
+                for (p, &v) in src.iter().enumerate() {
+                    col_t[p * rows + r] = v;
+                }
             }
+            let gi = &grad.data()[i * out_plane..(i + 1) * out_plane];
             // dW += g · colᵀ   ([cout, spatial]·[spatial, cin·k²]).
-            self.gw.axpy_(1.0, &ops::matmul_a_bt(&g, &col, profile));
+            ops::matmul_into(gi, &col_t, self.cout, spatial, rows, profile, &mut dw);
+            for (g, &d) in self.gw.data_mut().iter_mut().zip(&dw) {
+                *g += d;
+            }
             for (db, grow) in self.gb.data_mut().iter_mut().zip(gi.chunks_exact(spatial)) {
                 *db += ops::blocked_sum(grow, profile);
             }
         }
+        scratch::give(col_t);
+        scratch::give(dw);
     }
 
     /// Input-gradient half of the backward pass: one `dcol = Wᵀ · g` over
@@ -99,23 +115,30 @@ impl Conv2d {
         let (oh, ow) = self.out_dims(h, w);
         let spatial = oh * ow;
         let ncols = b * spatial;
-        let mut g = Tensor::zeros(&[self.cout, ncols]);
-        let (src, dst) = (grad.data(), g.data_mut());
+        let rows = self.rows();
+        let mut g = scratch::take_zeroed(self.cout * ncols);
+        let src = grad.data();
         for i in 0..b {
             for c in 0..self.cout {
-                dst[c * ncols + i * spatial..][..spatial]
+                g[c * ncols + i * spatial..][..spatial]
                     .copy_from_slice(&src[(i * self.cout + c) * spatial..][..spatial]);
             }
         }
-        let dcol = ops::matmul_at_b(&self.weight, &g, profile);
-        ops::col2im(&dcol, &in_shape, self.geom)
+        let mut dcol = scratch::take_zeroed(rows * ncols);
+        ops::matmul_at_b_into(self.weight.data(), &g, self.cout, rows, ncols, profile, &mut dcol);
+        scratch::give(g);
+        let dcol = Tensor::from_vec(dcol, &[rows, ncols]);
+        let gx = ops::col2im(&dcol, &in_shape, self.geom);
+        scratch::give(dcol.into_vec());
+        gx
     }
 }
 
 impl Layer for Conv2d {
     /// One mini-batch-wide GEMM: `W · im2col(x)` over `[cin*k*k, B*oh*ow]`.
     /// Every output column is its own accumulation chain, so batching the
-    /// columns gives the per-sample bits.
+    /// columns gives the per-sample bits. Only a training forward caches
+    /// the im2col matrix; an eval forward gives it straight back.
     fn forward(&mut self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor {
         let s = x.shape();
         assert_eq!(s.len(), 4, "Conv2d expects [B,cin,h,w], got {s:?}");
@@ -123,33 +146,44 @@ impl Layer for Conv2d {
         let (b, h, w) = (s[0], s[2], s[3]);
         let (oh, ow) = self.out_dims(h, w);
         let spatial = oh * ow;
-        let cols = ops::im2col(x, self.geom);
-        let y = ops::matmul(&self.weight, &cols, &ctx.profile);
+        let (rows, ncols) = (self.rows(), b * spatial);
+        let mut cols = scratch::take_zeroed(rows * ncols);
+        ops::im2col_into(x, self.geom, &mut cols);
+        let mut y = scratch::take_zeroed(self.cout * ncols);
+        ops::matmul_into(self.weight.data(), &cols, self.cout, rows, ncols, &ctx.profile, &mut y);
         // [cout, B*oh*ow] → [B, cout, oh, ow], adding the bias.
         let mut out = Tensor::zeros(&[b, self.cout, oh, ow]);
-        let (yd, od) = (y.data(), out.data_mut());
+        let od = out.data_mut();
         for i in 0..b {
             for (c, &bias) in self.bias.data().iter().enumerate() {
-                let src = &yd[(c * b + i) * spatial..][..spatial];
+                let src = &y[(c * b + i) * spatial..][..spatial];
                 let dst = &mut od[(i * self.cout + c) * spatial..][..spatial];
                 for (o, &v) in dst.iter_mut().zip(src) {
                     *o = v + bias;
                 }
             }
         }
-        self.cached = Some(Cached { cols, in_shape: [b, self.cin, h, w] });
+        scratch::give(y);
+        if ctx.training {
+            self.cached = Some(Cached { cols, in_shape: [b, self.cin, h, w] });
+        } else {
+            self.cached = None;
+            scratch::give(cols);
+        }
         out
     }
 
     fn backward(&mut self, grad: &Tensor, ctx: &mut ExecCtx) -> Tensor {
         let cached = self.cached.take().expect("backward before forward");
         self.accumulate_param_grads(grad, &cached, &ctx.profile);
+        scratch::give(cached.cols);
         self.input_grad(grad, cached.in_shape, &ctx.profile)
     }
 
     fn backward_params(&mut self, grad: &Tensor, ctx: &mut ExecCtx) {
         let cached = self.cached.take().expect("backward before forward");
         self.accumulate_param_grads(grad, &cached, &ctx.profile);
+        scratch::give(cached.cols);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -301,6 +335,34 @@ mod tests {
         let y_agn1 = run(&mut conv, KernelProfile::hardware_agnostic());
         let y_agn2 = run(&mut conv, KernelProfile::hardware_agnostic());
         assert!(y_agn1.bitwise_eq(&y_agn2));
+    }
+
+    #[test]
+    fn eval_forward_caches_nothing() {
+        let mut rng = init_rng();
+        let mut conv = Conv2d::init(2, 3, 3, 1, 1, &mut rng);
+        let x = Tensor::full(&[2, 2, 6, 6], 0.5);
+        let mut drng = init_rng();
+        let mut ctx = mk_ctx(&mut drng);
+        conv.forward(&x, &mut ctx);
+        assert!(conv.cached.is_some(), "a training forward caches its im2col matrix");
+        ctx.training = false;
+        conv.forward(&x, &mut ctx);
+        assert!(conv.cached.is_none(), "an eval forward leaves nothing cached");
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn backward_after_an_eval_forward_panics() {
+        let mut rng = init_rng();
+        let mut conv = Conv2d::init(1, 2, 3, 1, 1, &mut rng);
+        let x = Tensor::full(&[1, 1, 4, 4], 1.0);
+        let mut drng = init_rng();
+        let mut ctx = mk_ctx(&mut drng);
+        let y = conv.forward(&x, &mut ctx);
+        ctx.training = false;
+        conv.forward(&x, &mut ctx);
+        conv.backward(&Tensor::full(y.shape(), 1.0), &mut ctx);
     }
 
     #[test]

@@ -121,7 +121,9 @@ impl Layer for BatchNorm {
                 }
             }
         }
-        self.cached = Some(Cached { x_hat, inv_std, shape });
+        // Only a training forward is followed by a backward; an eval
+        // forward caches nothing.
+        self.cached = ctx.training.then_some(Cached { x_hat, inv_std, shape });
         out
     }
 
@@ -261,6 +263,22 @@ mod tests {
         assert!(y.data().iter().all(|&v| v.abs() < 1e-6));
         // Eval must not move running stats.
         assert_eq!(bn.running_stats().0.data()[0], 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn eval_forward_caches_nothing() {
+        let mut bn = BatchNorm::new(2);
+        let x = Tensor::from_vec((0..16).map(|i| i as f32 * 0.5).collect(), &[8, 2]);
+        let mut drng = mk_rng();
+        let mut ctx =
+            ExecCtx { profile: KernelProfile::default(), training: true, dropout: &mut drng };
+        let y = bn.forward(&x, &mut ctx);
+        assert!(bn.cached.is_some(), "a training forward caches x_hat");
+        ctx.training = false;
+        bn.forward(&x, &mut ctx);
+        assert!(bn.cached.is_none(), "an eval forward leaves nothing cached");
+        bn.backward(&Tensor::full(y.shape(), 1.0), &mut ctx);
     }
 
     #[test]

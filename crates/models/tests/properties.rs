@@ -12,7 +12,7 @@ use tensor::kernels::blocked_sum_scalar;
 use tensor::ops::{
     col2im, im2col, matmul_a_bt_scalar, matmul_at_b_scalar, matmul_scalar, ConvGeom,
 };
-use tensor::{KernelProfile, Tensor};
+use tensor::{scratch, KernelProfile, Tensor};
 
 fn rng(seed: u64) -> EsRng {
     EsRng::for_stream(seed, StreamKey::global(StreamKind::ModelInit))
@@ -230,5 +230,82 @@ proptest! {
         params_only.backward_params(&grad, &mut ctx);
         prop_assert_eq!(bits(params_only.grads()[0].data()), bits(gw_ref.data()), "gw, params only");
         prop_assert_eq!(bits(params_only.grads()[1].data()), bits(&gb_ref), "gb, params only");
+    }
+
+    /// The per-thread scratch list never shows in a result: with the list
+    /// pre-loaded with NaN-filled buffers of assorted sizes, a Conv2d
+    /// training forward/backward, an eval forward, and a training step on
+    /// a fresh thread produce the same output, `gw`, `gb` and input
+    /// gradient bits as the same calls on an empty list.
+    #[test]
+    fn conv2d_bits_do_not_depend_on_scratch_contents(
+        b in 1usize..4, cin in 1usize..4, cout in 1usize..6,
+        hw in 1usize..9, stride in 1usize..3, pad in 0usize..2,
+        poison_sizes in prop::collection::vec(0usize..4000, 0..6),
+        tile_k in 1usize..40, seed in any::<u64>(),
+    ) {
+        let kernel = 3usize;
+        prop_assume!(hw + 2 * pad >= kernel);
+        let profile = KernelProfile { reduce_block: 32, tile_k, algo_id: (seed % 3) as u8, deterministic: true };
+        let geom = ConvGeom { kernel, stride, pad };
+        let out_hw = geom.out_size(hw);
+        let x = Tensor::from_vec(
+            (0..b * cin * hw * hw).map(|i| ((i as f32) * 0.37 + seed as f32 * 1e-9).sin()).collect(),
+            &[b, cin, hw, hw],
+        );
+        let grad = Tensor::from_vec(
+            (0..b * cout * out_hw * out_hw).map(|i| ((i as f32) * 0.21).cos()).collect(),
+            &[b, cout, out_hw, out_hw],
+        );
+        let poison = |sizes: &[usize]| {
+            for &n in sizes {
+                scratch::give(vec![f32::NAN; n]);
+            }
+        };
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let train = |conv: &mut Conv2d, out: &mut Vec<Vec<u32>>| {
+            let mut d = rng(0);
+            let mut ctx = ExecCtx { profile, training: true, dropout: &mut d };
+            out.push(bits(&conv.forward(&x, &mut ctx)));
+            out.push(bits(&conv.backward(&grad, &mut ctx)));
+            out.push(bits(conv.grads()[0]));
+            out.push(bits(conv.grads()[1]));
+        };
+        // Each run starts on a fresh thread, so the reference list is empty.
+        let run = |sizes: &[usize]| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    poison(sizes);
+                    let mut conv = Conv2d::init(cin, cout, kernel, stride, pad, &mut rng(seed));
+                    let mut out = Vec::new();
+                    train(&mut conv, &mut out);
+                    let mut d = rng(0);
+                    let mut ctx = ExecCtx { profile, training: false, dropout: &mut d };
+                    out.push(bits(&conv.forward(&x, &mut ctx)));
+                    let moved = std::thread::scope(|s| {
+                        s.spawn(move || {
+                            poison(sizes);
+                            let mut out = Vec::new();
+                            train(&mut conv, &mut out);
+                            out
+                        })
+                        .join()
+                        .expect("fresh-thread step")
+                    });
+                    out.extend(moved);
+                    out
+                })
+                .join()
+                .expect("scratch run")
+            })
+        };
+        let clean = run(&[]);
+        let mut sizes = poison_sizes.clone();
+        sizes.push(cin * kernel * kernel * b * out_hw * out_hw);
+        let dirty = run(&sizes);
+        prop_assert_eq!(clean.len(), dirty.len());
+        for (i, (c, d)) in clean.iter().zip(&dirty).enumerate() {
+            prop_assert_eq!(c, d, "result {} differs with a pre-loaded scratch list", i);
+        }
     }
 }

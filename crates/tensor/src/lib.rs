@@ -33,6 +33,7 @@
 pub mod autotune;
 pub mod kernels;
 pub mod ops;
+pub mod scratch;
 mod tensor_impl;
 
 pub use autotune::{AutotunePolicy, Autotuner};

@@ -9,7 +9,7 @@
 //! (col2im) uses a fixed loop order.
 
 use crate::kernels::{combine_partials, KernelProfile, ALGO_COUNT, SUM_LANES};
-use crate::Tensor;
+use crate::{scratch, Tensor};
 
 pub use crate::kernels::blocked_sum;
 
@@ -113,14 +113,15 @@ pub fn mean(t: &Tensor, profile: &KernelProfile) -> f32 {
     sum(t, profile) / t.len() as f32
 }
 
-/// Row-vectorized matmul core shared by [`matmul`] and [`matmul_at_b`]:
-/// for each output row `i`, all `n` output columns advance together.
-/// Per output element `(i, j)` the addition chain is *identical* to
+/// Row-vectorized matmul core shared by every matmul in this module: for
+/// each output row `i`, all `n` output columns advance together. Per output
+/// element `(i, j)` the addition chain is *identical* to
 /// `tiled_reduce(k, profile, |p| a_at(i, p) * bd[p*n + j])`: products are
 /// formed for `p` ascending within each K-tile, tile partials start at 0.0,
 /// and the partials are combined in the profile's `algo_id` order. Only the
 /// interleaving across the (independent) columns changes, which makes the
-/// inner loops contiguous over `j` and auto-vectorizable.
+/// inner loops contiguous over `j` and auto-vectorizable. `od` is
+/// overwritten.
 fn matmul_rows_into(
     m: usize,
     k: usize,
@@ -130,11 +131,13 @@ fn matmul_rows_into(
     od: &mut [f32],
     a_at: impl Fn(usize, usize) -> f32,
 ) {
+    assert_eq!(bd.len(), k * n, "matmul: B is not [{k}, {n}]");
+    assert_eq!(od.len(), m * n, "matmul: output is not [{m}, {n}]");
     let tile = profile.tile_k.max(1);
     if k <= tile {
         // Single-tile fast path: mirrors tiled_reduce's short-circuit branch
-        // (no combine step, accumulators start at 0.0 — the zeros are
-        // already in `od`).
+        // (no combine step, accumulators start at 0.0).
+        od.fill(0.0);
         for i in 0..m {
             let orow = &mut od[i * n..(i + 1) * n];
             for p in 0..k {
@@ -150,9 +153,9 @@ fn matmul_rows_into(
     let ntiles = k.div_ceil(tile);
     // partials[t*n + j] = tile t's partial for output column j of the
     // current row (the row of the accumulation tree `combine_rows` walks).
-    let mut partials = vec![0.0f32; ntiles * n];
+    let mut partials = scratch::take_zeroed(ntiles * n);
     for i in 0..m {
-        partials.iter_mut().for_each(|x| *x = 0.0);
+        partials.fill(0.0);
         for t in 0..ntiles {
             let p0 = t * tile;
             let p1 = (p0 + tile).min(k);
@@ -167,6 +170,7 @@ fn matmul_rows_into(
         }
         combine_rows(&partials, ntiles, n, profile, &mut od[i * n..(i + 1) * n]);
     }
+    scratch::give(partials);
 }
 
 /// Combine per-tile partial rows into the output row, walking tiles in the
@@ -225,48 +229,110 @@ fn combine_rows(
     }
 }
 
-/// `C = A · B` for `A: [m,k]`, `B: [k,n]`. Row-vectorized; bit-identical to
-/// [`matmul_scalar`].
+/// `out = A · B` over row-major slices, `a: [m,k]`, `b: [k,n]`,
+/// `out: [m,n]` (overwritten). Row-vectorized; bit-identical to
+/// [`matmul_into_scalar`]. The tensor-level matmuls all run through the
+/// same core.
+pub fn matmul_into(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    profile: &KernelProfile,
+    out: &mut [f32],
+) {
+    assert_eq!(a.len(), m * k, "matmul: A is not [{m}, {k}]");
+    matmul_rows_into(m, k, n, b, profile, out, |i, p| a[i * k + p]);
+}
+
+/// Scalar reference for [`matmul_into`] (per-element [`tiled_reduce`]).
+pub fn matmul_into_scalar(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    profile: &KernelProfile,
+    out: &mut [f32],
+) {
+    assert_eq!(a.len(), m * k, "matmul: A is not [{m}, {k}]");
+    assert_eq!(b.len(), k * n, "matmul: B is not [{k}, {n}]");
+    assert_eq!(out.len(), m * n, "matmul: output is not [{m}, {n}]");
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        for j in 0..n {
+            out[i * n + j] = tiled_reduce(k, profile, |p| arow[p] * b[p * n + j]);
+        }
+    }
+}
+
+/// `out = Aᵀ · B` over row-major slices, `a: [k,m]`, `b: [k,n]`,
+/// `out: [m,n]` (overwritten; the weight-gradient shape). Bit-identical to
+/// [`matmul_at_b_into_scalar`].
+pub fn matmul_at_b_into(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    m: usize,
+    n: usize,
+    profile: &KernelProfile,
+    out: &mut [f32],
+) {
+    assert_eq!(a.len(), k * m, "matmul_at_b: A is not [{k}, {m}]");
+    matmul_rows_into(m, k, n, b, profile, out, |i, p| a[p * m + i]);
+}
+
+/// Scalar reference for [`matmul_at_b_into`].
+pub fn matmul_at_b_into_scalar(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    m: usize,
+    n: usize,
+    profile: &KernelProfile,
+    out: &mut [f32],
+) {
+    assert_eq!(a.len(), k * m, "matmul_at_b: A is not [{k}, {m}]");
+    assert_eq!(b.len(), k * n, "matmul_at_b: B is not [{k}, {n}]");
+    assert_eq!(out.len(), m * n, "matmul_at_b: output is not [{m}, {n}]");
+    for i in 0..m {
+        for j in 0..n {
+            out[i * n + j] = tiled_reduce(k, profile, |p| a[p * m + i] * b[p * n + j]);
+        }
+    }
+}
+
+/// `C = A · B` for `A: [m,k]`, `B: [k,n]`; [`matmul_into`] into a new
+/// tensor. Bit-identical to [`matmul_scalar`].
 pub fn matmul(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Tensor {
     let (m, k) = mat_dims(a);
     let (k2, n) = mat_dims(b);
     assert_eq!(k, k2, "matmul inner-dimension mismatch: {k} vs {k2}");
     let mut out = Tensor::zeros(&[m, n]);
-    let ad = a.data();
-    let bd = b.data();
-    matmul_rows_into(m, k, n, bd, profile, out.data_mut(), |i, p| ad[i * k + p]);
+    matmul_into(a.data(), b.data(), m, k, n, profile, out.data_mut());
     out
 }
 
-/// Scalar reference `A · B` (per-element [`tiled_reduce`]); the oracle for
-/// [`matmul`].
+/// Scalar reference `A · B`; the oracle for [`matmul`].
 pub fn matmul_scalar(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Tensor {
     let (m, k) = mat_dims(a);
     let (k2, n) = mat_dims(b);
     assert_eq!(k, k2, "matmul inner-dimension mismatch: {k} vs {k2}");
     let mut out = Tensor::zeros(&[m, n]);
-    let ad = a.data();
-    let bd = b.data();
-    let od = out.data_mut();
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        for j in 0..n {
-            od[i * n + j] = tiled_reduce(k, profile, |p| arow[p] * bd[p * n + j]);
-        }
-    }
+    matmul_into_scalar(a.data(), b.data(), m, k, n, profile, out.data_mut());
     out
 }
 
-/// `C = Aᵀ · B` for `A: [k,m]`, `B: [k,n]` (weight-gradient shape).
-/// Row-vectorized; bit-identical to [`matmul_at_b_scalar`].
+/// `C = Aᵀ · B` for `A: [k,m]`, `B: [k,n]` (weight-gradient shape);
+/// [`matmul_at_b_into`] into a new tensor. Bit-identical to
+/// [`matmul_at_b_scalar`].
 pub fn matmul_at_b(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Tensor {
     let (k, m) = mat_dims(a);
     let (k2, n) = mat_dims(b);
     assert_eq!(k, k2, "matmul_at_b inner-dimension mismatch");
     let mut out = Tensor::zeros(&[m, n]);
-    let ad = a.data();
-    let bd = b.data();
-    matmul_rows_into(m, k, n, bd, profile, out.data_mut(), |i, p| ad[p * m + i]);
+    matmul_at_b_into(a.data(), b.data(), k, m, n, profile, out.data_mut());
     out
 }
 
@@ -276,23 +342,16 @@ pub fn matmul_at_b_scalar(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Te
     let (k2, n) = mat_dims(b);
     assert_eq!(k, k2, "matmul_at_b inner-dimension mismatch");
     let mut out = Tensor::zeros(&[m, n]);
-    let ad = a.data();
-    let bd = b.data();
-    let od = out.data_mut();
-    for i in 0..m {
-        for j in 0..n {
-            od[i * n + j] = tiled_reduce(k, profile, |p| ad[p * m + i] * bd[p * n + j]);
-        }
-    }
+    matmul_at_b_into_scalar(a.data(), b.data(), k, m, n, profile, out.data_mut());
     out
 }
 
 /// `C = A · Bᵀ` for `A: [m,k]`, `B: [n,k]` (input- and weight-gradient
-/// shape). `B` is transposed once into `[k,n]` so the row-vectorized core
-/// streams contiguous rows; each output element keeps the [`dot`] chain
-/// (K-tiles from 0.0, `p` ascending inside a tile, partials combined in
-/// `algo_id` order, one noise draw per element in row-major order).
-/// Bit-identical to [`matmul_a_bt_scalar`].
+/// shape). `B` is transposed once into `[k,n]` and handed to
+/// [`matmul_into`], so each output element keeps the [`dot`] chain (K-tiles
+/// from 0.0, `p` ascending inside a tile, partials combined in `algo_id`
+/// order, one noise draw per element in row-major order). Bit-identical to
+/// [`matmul_a_bt_scalar`].
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Tensor {
     let (m, k) = mat_dims(a);
     let (n, k2) = mat_dims(b);
@@ -305,8 +364,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Tensor {
         }
     }
     let mut out = Tensor::zeros(&[m, n]);
-    let ad = a.data();
-    matmul_rows_into(m, k, n, &bt, profile, out.data_mut(), |i, p| ad[i * k + p]);
+    matmul_into(a.data(), &bt, m, k, n, profile, out.data_mut());
     out
 }
 
@@ -389,17 +447,27 @@ fn conv_input_dims(s: &[usize]) -> (usize, usize, usize, usize) {
 /// im2col: unfold `input: [cin, h, w]` (or a mini-batch `[B, cin, h, w]`)
 /// into a `[cin*k*k, B*oh*ow]` matrix; sample `i` owns columns
 /// `i*oh*ow..(i+1)*oh*ow`. Pure gather — no reductions, so no profile
-/// needed. Each row copies the in-bounds run of every output row; padding
-/// stays zero.
+/// needed. [`im2col_into`] into a new tensor.
 pub fn im2col(input: &Tensor, geom: ConvGeom) -> Tensor {
+    let (b, cin, h, w) = conv_input_dims(input.shape());
+    let rows = cin * geom.kernel * geom.kernel;
+    let mut out = Tensor::zeros(&[rows, b * geom.out_size(h) * geom.out_size(w)]);
+    im2col_into(input, geom, out.data_mut());
+    out
+}
+
+/// [`im2col`] into `out`, which must hold `cin*k*k * B*oh*ow` zeros: each
+/// row copies the in-bounds run of every output row, and padding is left
+/// at the zero already there.
+pub fn im2col_into(input: &Tensor, geom: ConvGeom, out: &mut [f32]) {
     let (b, cin, h, w) = conv_input_dims(input.shape());
     let (oh, ow) = (geom.out_size(h), geom.out_size(w));
     let (k, stride) = (geom.kernel, geom.stride);
     let spatial = oh * ow;
     let ncols = b * spatial;
-    let mut out = Tensor::zeros(&[cin * k * k, ncols]);
+    assert_eq!(out.len(), cin * k * k * ncols, "im2col: output is not [{}, {ncols}]", cin * k * k);
     let id = input.data();
-    let od = out.data_mut();
+    let od = out;
     for c in 0..cin {
         for ky in 0..k {
             let oys = geom.in_bounds(ky, h, oh);
@@ -429,7 +497,6 @@ pub fn im2col(input: &Tensor, geom: ConvGeom) -> Tensor {
             }
         }
     }
-    out
 }
 
 /// col2im: fold a `[cin*k*k, B*oh*ow]` gradient back onto the conv input

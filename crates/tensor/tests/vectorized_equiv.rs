@@ -16,7 +16,8 @@ use tensor::kernels::{
 };
 use tensor::ops::{
     col2im, dot, dot_scalar, im2col, matmul, matmul_a_bt, matmul_a_bt_scalar, matmul_at_b,
-    matmul_at_b_scalar, matmul_scalar, ConvGeom,
+    matmul_at_b_into, matmul_at_b_into_scalar, matmul_at_b_scalar, matmul_into, matmul_into_scalar,
+    matmul_scalar, ConvGeom,
 };
 use tensor::{KernelProfile, Tensor};
 
@@ -133,6 +134,39 @@ proptest! {
         prop_assert!(
             matmul_a_bt(&a, &bt, &profile).bitwise_eq(&matmul_a_bt_scalar(&a, &bt, &profile)),
             "matmul_a_bt m={} k={} n={} profile={:?}", m, k, n, profile);
+    }
+
+    /// The slice-level matmuls ≡ their scalar oracles, bitwise, across
+    /// random shapes and deterministic profiles. Both overwrite their
+    /// output: a NaN-filled destination must come back with the same bits
+    /// as a zeroed one.
+    #[test]
+    fn slice_matmuls_into_eq_scalar(
+        m in 1usize..12, k in 1usize..150, n in 1usize..300,
+        seed in any::<u32>(),
+        profile in det_profile(),
+    ) {
+        let gen = |count: usize, salt: u32| -> Vec<f32> {
+            (0..count)
+                .map(|i| {
+                    let h = (i as u32).wrapping_mul(2654435761).wrapping_add(seed ^ salt);
+                    (h % 1999) as f32 * 0.01 * 10f32.powi((h % 7) as i32 - 3) - 5.0
+                })
+                .collect()
+        };
+        let a = gen(m * k, 1);
+        let b = gen(k * n, 2);
+        let at = gen(k * m, 3);
+        let mut fast = vec![f32::NAN; m * n];
+        let mut slow = vec![0.0f32; m * n];
+        matmul_into(&a, &b, m, k, n, &profile, &mut fast);
+        matmul_into_scalar(&a, &b, m, k, n, &profile, &mut slow);
+        prop_assert_eq!(bits(&fast), bits(&slow), "matmul_into m={} k={} n={} {:?}", m, k, n, profile);
+        let mut fast = vec![f32::NAN; m * n];
+        let mut slow = vec![0.0f32; m * n];
+        matmul_at_b_into(&at, &b, k, m, n, &profile, &mut fast);
+        matmul_at_b_into_scalar(&at, &b, k, m, n, &profile, &mut slow);
+        prop_assert_eq!(bits(&fast), bits(&slow), "matmul_at_b_into m={} k={} n={} {:?}", m, k, n, profile);
     }
 
     /// Chunked axpy_ ≡ the one-element-at-a-time reference. Elementwise, so

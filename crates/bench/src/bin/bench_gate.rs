@@ -1,11 +1,11 @@
-//! bench_gate: fixed micro-benchmarks with a JSON regression gate.
+//! bench_gate: the repo's one bench harness, with a JSON regression gate.
 //!
-//! The criterion shim prints means for humans; CI needs machine-readable
-//! medians it can diff across PRs. This binary times a small, fixed set of
-//! scheduler and all-reduce micro-benches (median ns/iter over many
-//! samples — the median shrugs off scheduler noise a mean soaks up), writes
-//! them as JSON, and — given a baseline file from an earlier PR — fails
-//! when any bench regressed past the threshold.
+//! This binary times a fixed set of benches — scheduler, all-reduce,
+//! per-kernel, engine-step, checkpoint/rescale, trace-simulation and
+//! context-switch — as median ns/iter over many samples (the median shrugs
+//! off scheduler noise a mean soaks up), writes them as JSON, and — given a
+//! baseline file from an earlier PR — fails when any bench regressed past
+//! the threshold.
 //!
 //! ```text
 //! bench_gate --out BENCH_PR8.json [--baseline BENCH_PR7.json] [--threshold 1.15]
@@ -22,8 +22,10 @@
 //! in the output JSON's `improvements` array (see `bench::gate`).
 //!
 //! Exit status: 1 when a bench exceeds `baseline * threshold`, 2 on usage
-//! errors. Benches present in only one of the two files are reported but
-//! never gate (the set is allowed to grow).
+//! errors and on a `--baseline` file that exists but cannot be read or
+//! parsed (checked before any bench runs; nothing is written). Benches
+//! present in only one of the two files are reported but never gate (the
+//! set is allowed to grow).
 
 use std::time::Instant;
 
@@ -31,12 +33,15 @@ use bench::gate::{
     improvements, load_baseline, regressions, BenchResult, GateReport, HostFingerprint,
 };
 use comm::ElasticDdp;
-use device::GpuType;
-use easyscale::{Engine, ExecMode, ExecOptions, JobConfig, Placement};
+use device::{ClusterSpec, GpuType};
+use easyscale::{
+    EasyScaleWorker, Engine, ExecMode, ExecOptions, JobCheckpoint, JobConfig, Placement, Slot,
+};
 use models::Workload;
-use sched::{Companion, IntraJobScheduler};
+use sched::{ClusterSim, Companion, IntraJobScheduler, Policy};
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use trace::{TraceConfig, TraceGenerator};
 
 /// Median ns/iter of `samples` timed samples of `iters` iterations each,
 /// after `warmup` untimed iterations.
@@ -326,6 +331,109 @@ fn run_suite(opts: &SuiteOpts) -> Vec<BenchResult> {
         );
     }
 
+    // The rescale boundary (§5.3, "scale in seconds"): checkpoint capture on
+    // the default pool backend, the JSON codec both ways, and a restore onto
+    // a new placement. ResNet18 proxy, nEST 8 on 2 V100s, after 3 steps.
+    let rescale_benches = [
+        "checkpoint_capture_8_ests",
+        "checkpoint_serialize_json",
+        "checkpoint_deserialize_json",
+        "engine_restore_to_new_placement",
+    ];
+    if rescale_benches.iter().any(|name| selected(name)) {
+        let cfg = JobConfig::new(Workload::ResNet18, 7, 8).with_dataset_len(1024);
+        let mut e = Engine::new(cfg.clone(), Placement::homogeneous(8, 2, GpuType::V100));
+        e.run(3);
+        let ckpt = e.checkpoint();
+        let bytes = serde_json::to_vec(&ckpt).expect("checkpoint json");
+        if selected("checkpoint_capture_8_ests") {
+            record(
+                "checkpoint_capture_8_ests",
+                scale(50),
+                measure(samples, scale(50), scale(5), || {
+                    black_box(e.checkpoint());
+                }),
+            );
+        }
+        if selected("checkpoint_serialize_json") {
+            record(
+                "checkpoint_serialize_json",
+                scale(5),
+                measure(samples, scale(5), scale(2), || {
+                    black_box(serde_json::to_vec(black_box(&ckpt)).expect("checkpoint json"));
+                }),
+            );
+        }
+        if selected("checkpoint_deserialize_json") {
+            record(
+                "checkpoint_deserialize_json",
+                scale(5),
+                measure(samples, scale(5), scale(2), || {
+                    black_box(
+                        serde_json::from_slice::<JobCheckpoint>(black_box(&bytes))
+                            .expect("checkpoint json"),
+                    );
+                }),
+            );
+        }
+        if selected("engine_restore_to_new_placement") {
+            record(
+                "engine_restore_to_new_placement",
+                scale(5),
+                measure(samples, scale(5), scale(2), || {
+                    black_box(Engine::from_checkpoint(
+                        cfg.clone(),
+                        Placement::homogeneous(8, 4, GpuType::V100),
+                        &ckpt,
+                    ));
+                }),
+            );
+        }
+    }
+
+    // The Fig 14 trace simulation: 40 jobs on the paper's trace cluster
+    // under each scheduling policy.
+    let policies = [
+        ("yarn", Policy::YarnCapacity),
+        ("easyscale_homo", Policy::EasyScaleHomo),
+        ("easyscale_heter", Policy::EasyScaleHeter),
+    ];
+    for (tag, policy) in policies {
+        let name = format!("cluster_sim_40_jobs_{tag}");
+        if !selected(&name) {
+            continue;
+        }
+        let cluster = ClusterSpec::paper_trace_cluster();
+        let jobs = TraceGenerator::new(TraceConfig { n_jobs: 40, ..Default::default() }).generate();
+        record(
+            &name,
+            1,
+            measure(samples, 1, 1, || {
+                black_box(ClusterSim::new(&cluster, jobs.clone(), policy).run());
+            }),
+        );
+    }
+
+    // Fig 11's context switch: one worker's local steps for 8 co-resident
+    // ESTs (ResNet18 proxy), with and without swapping each EST's implicit
+    // state and RNG position in and out.
+    for (tag, switching) in [("on", true), ("off", false)] {
+        let name = format!("local_steps_8_ests_ctx_switch_{tag}");
+        if !selected(&name) {
+            continue;
+        }
+        let cfg = JobConfig::new(Workload::ResNet18, 7, 8).with_dataset_len(4096);
+        let mut w =
+            EasyScaleWorker::new(&cfg, &Slot { gpu: GpuType::V100, vranks: (0..8).collect() });
+        record(
+            &name,
+            scale(2),
+            measure(samples, scale(2), scale(1), || {
+                black_box(w.run_local_steps_opts(switching));
+            }),
+        );
+    }
+
     out
 }
 
@@ -371,6 +479,25 @@ fn main() {
     }
     let opts = SuiteOpts { smoke, only };
 
+    // A missing baseline is the normal first-PR state, not an error: warn
+    // and pass. A baseline that exists but cannot be read or parsed is a
+    // usage error, caught before any bench runs: it costs no suite run and
+    // writes nothing.
+    let baseline = match &baseline_path {
+        None => None,
+        Some(p) => match load_baseline(std::path::Path::new(p)) {
+            Ok(Some(b)) => Some(b),
+            Ok(None) => {
+                eprintln!("bench_gate: warning: baseline {p} does not exist; skipping the gate");
+                None
+            }
+            Err(e) => {
+                eprintln!("bench_gate: {e}");
+                std::process::exit(2);
+            }
+        },
+    };
+
     eprintln!(
         "bench_gate: running the {} suite{}",
         if smoke { "smoke" } else { "fixed" },
@@ -392,22 +519,6 @@ fn main() {
         host: HostFingerprint::detect(),
     };
 
-    // A missing baseline is the normal first-PR state, not an error: warn
-    // and pass. A corrupt baseline is an error.
-    let baseline = match &baseline_path {
-        None => None,
-        Some(p) => match load_baseline(std::path::Path::new(p)) {
-            Ok(Some(b)) => Some(b),
-            Ok(None) => {
-                eprintln!(
-                    "bench_gate: warning: baseline {p} does not exist; \
-                     skipping the gate (recording {out_path} for the next PR)"
-                );
-                None
-            }
-            Err(e) => panic!("{e}"),
-        },
-    };
     if let Some(base) = &baseline {
         // Recorded *into* the report, so the BENCH_*.json a PR ships is
         // machine-readable evidence of the speedups it claims.

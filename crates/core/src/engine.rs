@@ -24,6 +24,7 @@ use crate::JobConfig;
 use comm::{CommError, ElasticDdp, FaultScript, RetryPolicy};
 use data::{Dataset, DistributedSampler};
 use optim::{LrSchedule, Sgd};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Outcome of one global step.
@@ -95,7 +96,7 @@ impl Backend {
             Backend::Inline { workers } => {
                 (workers.iter_mut().flat_map(|w| w.run_local_steps()).collect(), Vec::new())
             }
-            Backend::Pool(pool) => pool.run_steps_supervised(epoch, lr, respawn),
+            Backend::Pool(pool) => pool.run_steps(epoch, lr, respawn),
         }
     }
 
@@ -111,34 +112,21 @@ impl Backend {
         }
     }
 
-    /// Checkpoint-relevant state of every worker, in worker order —
-    /// supervised like [`Backend::run_steps`].
-    fn snapshots(&mut self, respawn: &mut RespawnFn<'_>) -> (Vec<WorkerSnapshot>, Vec<PoolError>) {
+    /// Every worker's state beyond its parameters, in worker order. Pool
+    /// workers are never asked: each one's last drained step snapshot is
+    /// its current state, since `Apply` changes only the parameters.
+    fn snapshots(&self) -> Cow<'_, [WorkerSnapshot]> {
         match self {
             Backend::Inline { workers } => {
-                (workers.iter().map(WorkerSnapshot::capture).collect(), Vec::new())
+                Cow::Owned(workers.iter().map(WorkerSnapshot::capture).collect())
             }
-            Backend::Pool(pool) => pool.snapshots_supervised(respawn),
-        }
-    }
-
-    /// Run `f` with mutable access to worker `index` on the calling thread
-    /// (pool workers are lent across and restored afterwards).
-    fn with_worker_mut<R>(&mut self, index: usize, f: impl FnOnce(&mut EasyScaleWorker) -> R) -> R {
-        match self {
-            Backend::Inline { workers } => f(&mut workers[index]),
-            Backend::Pool(pool) => {
-                let mut w = pool.lend(index);
-                let r = f(&mut w);
-                pool.restore(index, w);
-                r
-            }
+            Backend::Pool(pool) => Cow::Borrowed(pool.last_snapshots()),
         }
     }
 }
 
 /// One supervised pool recovery, as recorded by the engine: which worker
-/// faulted, during which phase of which step, and the *deterministic*
+/// faulted during which step, and the *deterministic*
 /// virtual-time detection latency charged for it (the drain policy's whole
 /// backoff budget — a pure function of the policy, never a wall clock).
 /// Consumers ([`Engine::take_pool_recoveries`]) feed these into health
@@ -159,12 +147,10 @@ pub struct PoolRecovery {
     /// Deterministic detection latency in virtual microseconds: the drain
     /// policy's total backoff budget ([`RetryPolicy::total_backoff_us`]).
     pub virtual_latency_us: u64,
-    /// Which pool interaction detected the fault (`step` / `checkpoint`).
-    pub phase: &'static str,
 }
 
 impl PoolRecovery {
-    fn record(step: u64, err: &PoolError, virtual_latency_us: u64, phase: &'static str) -> Self {
+    fn record(step: u64, err: &PoolError, virtual_latency_us: u64) -> Self {
         PoolRecovery {
             step,
             worker: err.worker(),
@@ -172,31 +158,8 @@ impl PoolRecovery {
             kind: err.kind(),
             panic_msg: err.panic_msg().map(str::to_owned),
             virtual_latency_us,
-            phase,
         }
     }
-}
-
-/// Build a bitwise-identical replacement for faulted worker slot `idx`:
-/// a fresh worker on the slot's placement seeded with the engine-held param
-/// mirror (proven bitwise-equal to every replica) and the slot's recovery
-/// snapshot (pre-interrupted-step EST contexts and loader cursors). This is
-/// the [`Engine::from_checkpoint`] restore recipe scoped to a single slot,
-/// which is why replaying the interrupted command lands on the fault-free
-/// bits.
-fn build_replacement(
-    config: &JobConfig,
-    placement: &Placement,
-    params: &[f32],
-    idx: usize,
-    snap: &WorkerSnapshot,
-) -> Box<EasyScaleWorker> {
-    let slot = &placement.slots[idx];
-    let mut w = EasyScaleWorker::new(config, slot);
-    w.load_flat_params(params);
-    w.restore_pool(&snap.loader);
-    w.set_contexts(snap.contexts.clone());
-    Box::new(w)
 }
 
 /// The EasyScale job engine.
@@ -281,15 +244,21 @@ impl Engine {
     ) -> Self {
         placement.validate(config.n_ests).unwrap_or_else(|e| panic!("invalid placement: {e}"));
         assert_eq!(ckpt.n_ests(), config.n_ests, "checkpoint EST count mismatch");
-        let mut workers: Vec<EasyScaleWorker> =
-            placement.slots.iter().map(|s| EasyScaleWorker::new(&config, s)).collect();
-        for (w, slot) in workers.iter_mut().zip(&placement.slots) {
-            w.load_flat_params(&ckpt.params);
-            w.restore_pool(&ckpt.loader);
-            let contexts =
-                slot.vranks.iter().map(|&r| ckpt.est_contexts[r as usize].clone()).collect();
-            w.set_contexts(contexts);
-        }
+        let workers: Vec<EasyScaleWorker> = placement
+            .slots
+            .iter()
+            .map(|slot| {
+                let snap = WorkerSnapshot {
+                    contexts: slot
+                        .vranks
+                        .iter()
+                        .map(|&r| ckpt.est_contexts[r as usize].clone())
+                        .collect(),
+                    loader: ckpt.loader.clone(),
+                };
+                EasyScaleWorker::restored(&config, slot, &ckpt.params, &snap)
+            })
+            .collect();
         let param_sizes = workers[0].model().param_sizes();
         let (ddp, restarted_without_layout) = if config.determinism.pin_bucket_layout {
             // D1: reinstate the recorded gradient-bucket mapping and disable
@@ -429,12 +398,13 @@ impl Engine {
             let placement = &self.placement;
             let params = &self.params;
             let mut respawn = |err: &PoolError, snap: &WorkerSnapshot| {
-                build_replacement(config, placement, params, err.worker(), snap)
+                let slot = &placement.slots[err.worker()];
+                Box::new(EasyScaleWorker::restored(config, slot, params, snap))
             };
             self.backend.run_steps(epoch, lr, &mut respawn)
         };
         self.pool_recoveries
-            .extend(step_faults.iter().map(|e| PoolRecovery::record(step, e, latency_us, "step")));
+            .extend(step_faults.iter().map(|e| PoolRecovery::record(step, e, latency_us)));
         // Deterministic merge: virtual-rank order, independent of thread
         // completion order.
         let merge_span = obs::span("merge");
@@ -486,28 +456,22 @@ impl Engine {
         (0..n).map(|_| self.step()).collect()
     }
 
-    /// Take an on-demand checkpoint (paper Figure 6). `&mut` since PR 9:
-    /// the snapshot gather is supervised, so a worker faulting mid-
-    /// checkpoint is replaced (mutating the pool) and re-asked instead of
-    /// panicking the engine.
+    /// Take an on-demand checkpoint (paper Figure 6): the engine's param
+    /// mirror, optimizer and comm state, plus each worker's last step
+    /// snapshot. It sends no command and waits on no worker — every pool
+    /// step already ships its post-step state back, and `Apply` changes only
+    /// the parameters the mirror tracks bitwise.
+    ///
+    /// Takes `&mut self` although nothing here mutates: callers (the
+    /// `perfbench/` package among them) hold engines in `let mut` bindings
+    /// used only for this call, and a `&self` receiver would turn each of
+    /// those into an unused-`mut` warning.
     pub fn checkpoint(&mut self) -> JobCheckpoint {
         let _ckpt_span = obs::span("engine.checkpoint");
-        let step = self.global_step;
-        let latency_us = self.exec.drain.total_backoff_us();
-        let (snaps, faults) = {
-            let config = &self.config;
-            let placement = &self.placement;
-            let params = &self.params;
-            let mut respawn = |err: &PoolError, snap: &WorkerSnapshot| {
-                build_replacement(config, placement, params, err.worker(), snap)
-            };
-            self.backend.snapshots(&mut respawn)
-        };
-        self.pool_recoveries
-            .extend(faults.iter().map(|e| PoolRecovery::record(step, e, latency_us, "checkpoint")));
+        let snaps = self.backend.snapshots();
         // EST contexts gathered from their current owners, in vrank order.
         let mut contexts: Vec<Option<EstContext>> = vec![None; self.config.n_ests as usize];
-        for s in &snaps {
+        for s in snaps.iter() {
             for c in &s.contexts {
                 contexts[c.vrank as usize] = Some(c.clone());
             }
@@ -574,9 +538,11 @@ impl Engine {
     }
 
     /// Evaluate on `dataset` using virtual rank 0's implicit state. The
-    /// forward passes run on the calling thread (pool workers are lent
-    /// across for the duration — eval datasets are borrowed, not `'static`).
-    pub fn evaluate(&mut self, dataset: &dyn Dataset, batch_size: usize) -> EvalResult {
+    /// forward passes run on the calling thread, on a worker rebuilt from
+    /// the param mirror and rank 0's owner's last snapshot — the fault-
+    /// recovery recipe, so it evaluates exactly the bits the live worker
+    /// holds, and no pool thread is interrupted.
+    pub fn evaluate(&self, dataset: &dyn Dataset, batch_size: usize) -> EvalResult {
         let (wi, ci) = self
             .placement
             .slots
@@ -584,8 +550,10 @@ impl Engine {
             .enumerate()
             .find_map(|(wi, s)| s.vranks.iter().position(|&r| r == 0).map(|ci| (wi, ci)))
             .expect("rank 0 is always placed");
-        let (overall, per_class) =
-            self.backend.with_worker_mut(wi, |w| w.evaluate(dataset, batch_size, ci));
+        let slot = &self.placement.slots[wi];
+        let snap = &self.backend.snapshots()[wi];
+        let mut worker = EasyScaleWorker::restored(&self.config, slot, &self.params, snap);
+        let (overall, per_class) = worker.evaluate(dataset, batch_size, ci);
         EvalResult { overall, per_class }
     }
 

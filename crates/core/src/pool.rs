@@ -1,51 +1,46 @@
-//! Persistent worker-thread pool: each physical worker lives on one OS
-//! thread for the engine's lifetime — now supervised against real faults.
+//! Persistent worker-thread pool: each physical worker lives on one
+//! supervised OS thread for the engine's lifetime.
 //!
-//! The old engine *borrowed* threads — a `crossbeam::thread::scope` spawned
-//! and tore down one thread per worker inside every global step. This module
-//! replaces that with the real elastic-training shape (ROADMAP item 1): the
-//! engine spawns one named thread per physical worker when it is built,
-//! drives the threads over per-worker command channels, and only ever
-//! respawns them on `rescale` (where the worker set itself changes) — or,
-//! since PR 9, when a worker *faults* and the supervisor replaces it.
+//! The engine spawns one named thread per physical worker when it is built,
+//! drives the threads over per-worker FIFO command channels, and respawns
+//! them only on `rescale` (where the worker set itself changes) or when a
+//! worker *faults* and the supervisor replaces it. The protocol is four
+//! commands — `Step`, `Apply`, `Arm`, `Exit` — and one way back: after
+//! every `Step` a worker publishes its local steps plus a post-step
+//! [`WorkerSnapshot`] into a keyed [`Exchange`]. `Apply` only changes
+//! parameters, which the engine mirrors bitwise, so the stored snapshots
+//! plus the mirror *are* each worker's state: checkpoints, evaluation and
+//! fault respawns all read them, and no command ever asks a worker for
+//! anything else.
 //!
 //! Determinism story (docs/PARALLELISM.md): worker threads run local steps
 //! concurrently, so *completion* order is up to the OS scheduler — classic
-//! D1 entropy. Every result crosses back to the engine through one of two
-//! fences:
+//! D1 entropy. Every result crosses back to the engine through the
+//! exchange, drained with [`Exchange::drain_deadline`] (a declared detlint
+//! taint barrier) in canonical worker order. Past that fence no bit depends
+//! on scheduling, which is what the `nthread_eq_single` proptest checks end
+//! to end.
 //!
-//! - an [`Exchange`] keyed by worker index, drained with
-//!   [`Exchange::drain_sorted`] / [`Exchange::drain_deadline`] (declared
-//!   detlint taint barriers) so the engine consumes results in canonical
-//!   worker order, or
-//! - [`WorkerPool::recv_ordered`] and its deadline twin, which read
-//!   per-worker reply channels in explicit index order (also declared
-//!   barriers).
-//!
-//! Past those fences no bit depends on scheduling, which is what the
-//! `nthread_eq_single` proptest checks end to end.
-//!
-//! Supervision story (docs/HEALTH.md): the `*_supervised` entry points
-//! replace the old panic-on-death protocol. A worker that panics, stalls
-//! past the drain deadline, or silently drops its reply surfaces as a typed
+//! Supervision story (docs/HEALTH.md): a worker that panics, stalls past
+//! the drain deadline, or silently drops its publish surfaces as a typed
 //! [`PoolError`] naming the `esw-dev<id>` thread. The supervisor then reaps
 //! the thread (joining it if dead, quarantining it if merely unresponsive),
 //! asks the engine for a replacement worker seeded from the engine-held
-//! param mirror (proven bitwise-equal to every replica), reinstalls it on a
-//! fresh thread, and replays the interrupted command. Because replacements
-//! are rebuilt from pre-step state and results still cross the canonical
-//! fences, recovery is invisible in the deterministic outputs: post-recovery
-//! params are byte-identical to a fault-free run.
+//! param mirror (proven bitwise-equal to every replica) and the slot's last
+//! snapshot, reinstalls it on a fresh thread, and replays the interrupted
+//! step. Because replacements are rebuilt from pre-step state and results
+//! still cross the canonical fence, recovery is invisible in the
+//! deterministic outputs: post-recovery params are byte-identical to a
+//! fault-free run.
 
 use crate::est::EstContext;
 use crate::worker::{EasyScaleWorker, LocalStep};
-use comm::exchange::{channel, Receiver, RecvTimeoutError, Sender};
+use comm::exchange::{channel, Receiver, Sender};
 use comm::{Exchange, ExchangeTx, RetryPolicy};
 use data::LoaderCheckpoint;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::{JoinHandle, ThreadId};
-use std::time::Duration;
 
 /// How the engine executes its physical workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,8 +98,9 @@ pub struct PoolStats {
     pub steps_served: u64,
 }
 
-/// Everything the engine needs from one worker to assemble a checkpoint —
-/// and, since PR 9, to seed a bitwise-identical replacement after a fault.
+/// A worker's state beyond its parameters: everything the engine needs to
+/// assemble a checkpoint, to evaluate, and to seed a bitwise-identical
+/// replacement after a fault (see [`EasyScaleWorker::restored`]).
 #[derive(Debug, Clone)]
 pub struct WorkerSnapshot {
     /// The worker's EST contexts, in slot order.
@@ -154,8 +150,8 @@ pub enum PoolError {
     },
     /// The worker's thread is alive but produced nothing within the drain
     /// policy's whole backoff budget — stalled, wedged, or silently dropping
-    /// replies. The thread is quarantined, not joined (it may never exit on
-    /// its own; joining it would hang the engine).
+    /// its publishes. The thread is quarantined, not joined (it may never
+    /// exit on its own; joining it would hang the engine).
     DrainTimeout {
         /// Worker slot index.
         worker: usize,
@@ -221,8 +217,8 @@ impl std::error::Error for PoolError {}
 
 /// Builds a replacement worker for a faulted slot. The engine seeds it from
 /// its param mirror plus the slot's last [`WorkerSnapshot`] (pre-interrupted-
-/// step state), which is exactly what replaying the interrupted command
-/// needs for bitwise-identical recovery.
+/// step state), which is exactly what replaying the interrupted step needs
+/// for bitwise-identical recovery.
 pub type RespawnFn<'a> = dyn FnMut(&PoolError, &WorkerSnapshot) -> Box<EasyScaleWorker> + 'a;
 
 /// One engine→worker command. Per-worker channels are FIFO, so a worker
@@ -241,30 +237,17 @@ enum Cmd {
     },
     /// Apply the (identical-everywhere) optimizer delta to the replica.
     Apply(Arc<Vec<f32>>),
-    /// Reply with a [`WorkerSnapshot`].
-    Snapshot,
-    /// Reply with the owned worker itself (evaluation runs on the engine
-    /// thread because eval datasets are borrowed, not `'static`).
-    Lend,
-    /// Return a previously lent worker.
-    Restore(Box<EasyScaleWorker>),
     /// Arm a [`ThreadFault`], consumed at the next `Step` (faultsim chaos).
     Arm(ThreadFault),
     /// Shut down the thread.
     Exit,
 }
 
-/// One worker→engine reply (for request/response commands; step results
-/// travel through the keyed exchange instead).
-enum Reply {
-    Snapshot(Box<WorkerSnapshot>),
-    Worker(Box<EasyScaleWorker>),
-}
-
 /// What a worker publishes after a `Step` command: its local steps plus the
 /// command echo, its thread id (stale-result fence: a batch from a reaped
 /// thread never matches the slot's current id), and a post-step snapshot the
-/// supervisor holds as the slot's recovery seed for the *next* step.
+/// pool stores as the slot's state: what checkpoints and evaluation read
+/// until the next step, and the recovery seed if that step faults.
 struct StepBatch {
     seq: u64,
     epoch: u64,
@@ -274,11 +257,10 @@ struct StepBatch {
     recovery: WorkerSnapshot,
 }
 
-/// The persistent pool: command senders, reply receivers, and the keyed
-/// exchange the worker threads publish step results into.
+/// The persistent pool: command senders and the keyed exchange the worker
+/// threads publish step results into.
 pub struct WorkerPool {
     cmds: Vec<Sender<Cmd>>,
-    replies: Vec<Receiver<Reply>>,
     steps: Exchange<StepBatch>,
     /// Live thread handles; `None` only transiently inside a recovery.
     threads: Vec<Option<JoinHandle<()>>>,
@@ -291,11 +273,12 @@ pub struct WorkerPool {
     ids: Vec<ThreadId>,
     /// Device id per slot (thread naming + fault attribution).
     devices: Vec<u32>,
-    /// Per-slot recovery seed: the snapshot a replacement worker replays
-    /// the interrupted step from. Captured at spawn, refreshed from every
-    /// drained [`StepBatch`], so it always holds pre-current-step state.
+    /// Per-slot state beyond the parameters: captured at spawn, refreshed
+    /// from every drained [`StepBatch`]. Between steps it is the worker's
+    /// current state (what checkpoints and evaluation read); during a step
+    /// it is the pre-step seed a replacement worker replays from.
     recovery: Vec<WorkerSnapshot>,
-    /// Deadline policy for the supervised drains.
+    /// Deadline policy for the supervised steps drain.
     drain: RetryPolicy,
     seq: u64,
     steps_served: u64,
@@ -305,9 +288,9 @@ impl WorkerPool {
     /// Spawn one named persistent thread per worker, moving each worker onto
     /// its thread. `device_ids` (slot order) name the threads `esw-dev{id}`;
     /// missing entries fall back to the slot index. `drain` bounds how long
-    /// the supervised drains wait for a silent worker.
-    // Audited fence: the per-worker command/reply channels are raw mpsc by
-    // design (single-producer FIFO), hence the workspace-ban allow.
+    /// the supervised steps drain waits for a silent worker.
+    // Audited fence: the per-worker command channels are raw mpsc by design
+    // (single-producer FIFO), hence the workspace-ban allow.
     #[allow(clippy::disallowed_methods)]
     pub fn spawn(workers: Vec<EasyScaleWorker>, device_ids: &[u32], drain: RetryPolicy) -> Self {
         let n = workers.len();
@@ -315,23 +298,20 @@ impl WorkerPool {
         let recovery: Vec<WorkerSnapshot> = workers.iter().map(WorkerSnapshot::capture).collect();
         let mut steps: Exchange<StepBatch> = Exchange::new();
         let mut cmds = Vec::with_capacity(n);
-        let mut replies = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
         let mut ids = Vec::with_capacity(n);
         let mut devices = Vec::with_capacity(n);
         for (i, worker) in workers.into_iter().enumerate() {
             let dev = device_ids.get(i).copied().unwrap_or(i as u32);
             let (cmd_tx, cmd_rx) = channel();
-            let (reply_tx, reply_rx) = channel();
             let step_tx = steps.handle();
             let handle = std::thread::Builder::new()
                 .name(format!("esw-dev{dev}"))
-                .spawn(move || worker_main(i as u64, Box::new(worker), cmd_rx, reply_tx, step_tx))
+                .spawn(move || worker_main(i as u64, Box::new(worker), cmd_rx, step_tx))
                 .expect("failed to spawn worker thread");
             ids.push(handle.thread().id());
             threads.push(Some(handle));
             cmds.push(cmd_tx);
-            replies.push(reply_rx);
             devices.push(dev);
         }
         // Seal: ordinary handle minting is closed. The supervisor mints
@@ -341,7 +321,6 @@ impl WorkerPool {
         obs::counter_add("engine.pool.spawns_total", n as u64);
         WorkerPool {
             cmds,
-            replies,
             steps,
             threads,
             quarantined: Vec::new(),
@@ -379,48 +358,14 @@ impl WorkerPool {
         i
     }
 
-    /// One concurrent local-step round: command every worker, then drain the
-    /// step exchange in canonical worker order. The returned list is in
-    /// worker order (callers still sort by vrank, as the sequential engine
-    /// always did).
-    ///
-    /// This is the fault-*oblivious* drain — a dead worker hangs it. The
-    /// engine's pool path uses [`WorkerPool::run_steps_supervised`]; this
-    /// stays as the minimal protocol reference and unit-test surface.
-    pub fn run_steps(&mut self, epoch: u64, lr: f32) -> Vec<LocalStep> {
-        let n = self.len();
-        self.seq += 1;
-        let seq = self.seq;
-        for tx in &self.cmds {
-            tx.send(Cmd::Step { seq, epoch, lr }).expect("worker thread died");
-        }
-        // Each round the scoped-thread engine would have paid n spawns.
-        obs::counter_add("engine.pool.spawns_avoided_total", n as u64);
-        let drain_span = obs::span("engine.drain_wait");
-        let batches = self.steps.drain_sorted(n);
-        drop(drain_span);
-        self.steps_served += 1;
-        let mut out = Vec::new();
-        for (key, batch) in batches {
-            debug_assert_eq!(batch.seq, seq, "stale step batch");
-            debug_assert_eq!(batch.epoch, epoch, "epoch echo mismatch");
-            debug_assert_eq!(batch.lr.to_bits(), lr.to_bits(), "lr echo mismatch");
-            assert_eq!(
-                batch.thread, self.ids[key as usize],
-                "worker thread was respawned mid-lifetime"
-            );
-            self.recovery[key as usize] = batch.recovery;
-            out.extend(batch.steps);
-        }
-        out
-    }
-
-    /// [`WorkerPool::run_steps`] under supervision: workers that die, stall,
-    /// or drop their publish are detected by the drain deadline, reaped,
-    /// replaced via `respawn`, and re-commanded with the *same* round — so
-    /// the returned steps are bitwise identical to a fault-free round. Every
+    /// One concurrent local-step round under supervision: command every
+    /// worker, then drain the step exchange in canonical worker order.
+    /// Workers that die, stall, or drop their publish are detected by the
+    /// drain deadline, reaped, replaced via `respawn`, and re-commanded with
+    /// the *same* round — so the returned steps (in worker order; callers
+    /// sort by vrank) are bitwise identical to a fault-free round. Every
     /// recovery is reported in the second tuple element (empty when clean).
-    pub fn run_steps_supervised(
+    pub fn run_steps(
         &mut self,
         epoch: u64,
         lr: f32,
@@ -439,7 +384,6 @@ impl WorkerPool {
                 errors.push(err);
             }
         }
-        obs::counter_add("engine.pool.spawns_avoided_total", n as u64);
         let mut got: BTreeMap<u64, StepBatch> = BTreeMap::new();
         let mut rounds = 0usize;
         while got.len() < n {
@@ -502,82 +446,12 @@ impl WorkerPool {
         }
     }
 
-    /// Snapshot every worker's checkpoint-relevant state, in worker order.
-    /// Fault-oblivious; the engine uses
-    /// [`WorkerPool::snapshots_supervised`].
-    pub fn snapshots(&self) -> Vec<WorkerSnapshot> {
-        for tx in &self.cmds {
-            tx.send(Cmd::Snapshot).expect("worker thread died");
-        }
-        let order: Vec<usize> = (0..self.len()).collect();
-        self.recv_ordered(&order)
-            .into_iter()
-            .map(|r| match r {
-                Reply::Snapshot(s) => *s,
-                Reply::Worker(_) => unreachable!("snapshot round returned a lent worker"),
-            })
-            .collect()
-    }
-
-    /// [`WorkerPool::snapshots`] under supervision: a worker that cannot
-    /// answer is reaped, replaced, and re-asked — and because replacements
-    /// are rebuilt from exactly the state a snapshot reports, the recovered
-    /// snapshot is bitwise identical to what the faulty worker owed.
-    pub fn snapshots_supervised(
-        &mut self,
-        respawn: &mut RespawnFn<'_>,
-    ) -> (Vec<WorkerSnapshot>, Vec<PoolError>) {
-        let n = self.len();
-        let mut errors: Vec<PoolError> = Vec::new();
-        for i in 0..n {
-            if self.cmds[i].send(Cmd::Snapshot).is_err() {
-                let err = self.recover(i, respawn);
-                self.cmds[i].send(Cmd::Snapshot).expect("respawned worker died");
-                errors.push(err);
-            }
-        }
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut attempts = 0usize;
-            loop {
-                attempts += 1;
-                assert!(attempts <= 9, "supervised snapshot did not converge");
-                match self.recv_ordered_deadline(&[i]) {
-                    Ok(mut replies) => match replies.pop().expect("one reply") {
-                        Reply::Snapshot(s) => {
-                            out.push(*s);
-                            break;
-                        }
-                        Reply::Worker(_) => unreachable!("snapshot round returned a lent worker"),
-                    },
-                    Err(_) => {
-                        obs::counter_add("engine.drain_timeout", 1);
-                        let perr = self.recover(i, respawn);
-                        self.cmds[i].send(Cmd::Snapshot).expect("respawned worker died");
-                        errors.push(perr);
-                    }
-                }
-            }
-        }
-        (out, errors)
-    }
-
-    /// Borrow worker `index` onto the calling thread (for evaluation, which
-    /// takes non-`'static` datasets). Must be paired with
-    /// [`WorkerPool::restore`]. Unsupervised by design: lend/restore runs
-    /// only on the (fault-free) evaluation path, and a lent worker lives on
-    /// the engine thread where it cannot fault independently.
-    pub fn lend(&self, index: usize) -> Box<EasyScaleWorker> {
-        self.cmds[index].send(Cmd::Lend).expect("worker thread died");
-        match self.recv_ordered(&[index]).pop().expect("one reply") {
-            Reply::Worker(w) => w,
-            Reply::Snapshot(_) => unreachable!("lend round returned a snapshot"),
-        }
-    }
-
-    /// Return a worker borrowed with [`WorkerPool::lend`].
-    pub fn restore(&self, index: usize, worker: Box<EasyScaleWorker>) {
-        self.cmds[index].send(Cmd::Restore(worker)).expect("worker thread died");
+    /// Each worker's state beyond its parameters, in worker order, as of its
+    /// last drained step (or spawn). `Apply` changes only parameters, so
+    /// together with the engine's param mirror this is every worker's
+    /// current state between steps.
+    pub fn last_snapshots(&self) -> &[WorkerSnapshot] {
+        &self.recovery
     }
 
     /// Reap a faulty worker slot and install the replacement `respawn`
@@ -609,77 +483,24 @@ impl WorkerPool {
         err
     }
 
-    /// Spawn `worker` as slot `i`'s replacement thread: fresh command and
-    /// reply channels (dropping the old sender tells a quarantined thread to
-    /// exit), a replacement publish handle on the sealed exchange, and a new
+    /// Spawn `worker` as slot `i`'s replacement thread: a fresh command
+    /// channel (dropping the old sender tells a quarantined thread to exit),
+    /// a replacement publish handle on the sealed exchange, and a new
     /// `esw-dev<id>` thread under the slot's stable device id.
     // Audited fence, same as `spawn`: raw mpsc per-worker channels.
     #[allow(clippy::disallowed_methods)]
     fn reinstall(&mut self, i: usize, worker: Box<EasyScaleWorker>) {
         let dev = self.devices[i];
         let (cmd_tx, cmd_rx) = channel();
-        let (reply_tx, reply_rx) = channel();
         let step_tx = self.steps.replacement_handle();
         let handle = std::thread::Builder::new()
             .name(format!("esw-dev{dev}"))
-            .spawn(move || worker_main(i as u64, worker, cmd_rx, reply_tx, step_tx))
+            .spawn(move || worker_main(i as u64, worker, cmd_rx, step_tx))
             .expect("failed to respawn worker thread");
         self.ids[i] = handle.thread().id();
         self.threads[i] = Some(handle);
         self.cmds[i] = cmd_tx;
-        self.replies[i] = reply_rx;
         obs::counter_add("engine.pool.respawns_total", 1);
-    }
-
-    /// Drain per-worker reply channels in the explicit index order given —
-    /// a canonical order, independent of which worker answered first.
-    /// Declared as a detlint taint barrier (docs/DETLINT.md).
-    fn recv_ordered(&self, from: &[usize]) -> Vec<Reply> {
-        from.iter()
-            .map(|&i| {
-                // Reply channels are read in the caller-fixed index order,
-                // never in arrival order.
-                // detlint::allow(no-thread-order): fixed per-worker order
-                self.replies[i].recv().expect("worker thread died")
-            })
-            .collect()
-    }
-
-    /// [`WorkerPool::recv_ordered`] with the drain deadline: same canonical
-    /// per-index order, but a worker silent past the whole backoff budget
-    /// (or disconnected) yields a provisional [`PoolError::DrainTimeout`]
-    /// naming it — [`WorkerPool::recover`] refines the classification when
-    /// it inspects the thread. Also a declared detlint taint barrier.
-    fn recv_ordered_deadline(&self, from: &[usize]) -> Result<Vec<Reply>, PoolError> {
-        let mut out = Vec::with_capacity(from.len());
-        for &i in from {
-            let mut empty_windows = 0u32;
-            loop {
-                let window = Duration::from_micros(self.drain.backoff_us(empty_windows + 1));
-                // Caller-fixed index order, like recv_ordered; real-time
-                // deadline, never a deterministic input.
-                // detlint::allow(no-thread-order): fixed per-worker order
-                match self.replies[i].recv_timeout(window) {
-                    Ok(reply) => {
-                        out.push(reply);
-                        break;
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        empty_windows += 1;
-                        if empty_windows >= self.drain.max_attempts {
-                            return Err(PoolError::DrainTimeout {
-                                worker: i,
-                                device: self.devices[i],
-                            });
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(PoolError::DrainTimeout { worker: i, device: self.devices[i] })
-                    }
-                }
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -760,13 +581,10 @@ fn stall_forever() {
 // detlint::allow(barrier-unverified): FIFO single-producer command loop; results leave under fixed keys via canonical engine-side drains
 fn worker_main(
     key: u64,
-    worker: Box<EasyScaleWorker>,
+    mut worker: Box<EasyScaleWorker>,
     cmds: Receiver<Cmd>,
-    replies: Sender<Reply>,
     steps: ExchangeTx<StepBatch>,
 ) {
-    // `None` while the worker is lent to the engine thread for evaluation.
-    let mut slot: Option<Box<EasyScaleWorker>> = Some(worker);
     // Injected fault waiting for the next Step (faultsim chaos).
     let mut armed: Option<ThreadFault> = None;
     loop {
@@ -792,17 +610,15 @@ fn worker_main(
                     Some(ThreadFault::ReplyDrop) => {
                         // Run the step but drop the publish: the thread
                         // stays alive and keeps serving, its result gone.
-                        let w = slot.as_mut().expect("step commanded while worker is lent out");
-                        let _ = w.run_local_steps();
+                        let _ = worker.run_local_steps();
                         continue;
                     }
                     None => {}
                 }
-                let w = slot.as_mut().expect("step commanded while worker is lent out");
                 let step_span = obs::span("engine.pool.worker_step");
-                let local = w.run_local_steps();
+                let local = worker.run_local_steps();
                 drop(step_span);
-                let recovery = WorkerSnapshot::capture(w);
+                let recovery = WorkerSnapshot::capture(&worker);
                 steps.publish(
                     key,
                     StepBatch {
@@ -815,25 +631,7 @@ fn worker_main(
                     },
                 );
             }
-            Cmd::Apply(delta) => {
-                slot.as_mut()
-                    .expect("apply commanded while worker is lent out")
-                    .apply_update(&delta);
-            }
-            Cmd::Snapshot => {
-                let w = slot.as_ref().expect("snapshot commanded while worker is lent out");
-                replies
-                    .send(Reply::Snapshot(Box::new(WorkerSnapshot::capture(w))))
-                    .expect("engine dropped its reply channel");
-            }
-            Cmd::Lend => {
-                let w = slot.take().expect("worker lent twice");
-                replies.send(Reply::Worker(w)).expect("engine dropped its reply channel");
-            }
-            Cmd::Restore(w) => {
-                assert!(slot.is_none(), "restore without a lend");
-                slot = Some(w);
-            }
+            Cmd::Apply(delta) => worker.apply_update(&delta),
             Cmd::Arm(fault) => armed = Some(fault),
             Cmd::Exit => return,
         }
@@ -848,11 +646,17 @@ mod tests {
     use device::GpuType;
     use models::Workload;
 
-    fn make_workers(n_ests: u32, gpus: u32) -> (JobConfig, Vec<EasyScaleWorker>) {
+    fn make_workers(n_ests: u32, gpus: u32) -> (JobConfig, Placement, Vec<EasyScaleWorker>) {
         let cfg = JobConfig::new(Workload::ResNet18, 7, n_ests).with_dataset_len(128);
         let placement = Placement::homogeneous(n_ests, gpus, GpuType::V100);
         let workers = placement.slots.iter().map(|s| EasyScaleWorker::new(&cfg, s)).collect();
-        (cfg, workers)
+        (cfg, placement, workers)
+    }
+
+    /// The engine's drain policy (≈ 6.4s budget): a healthy round never
+    /// trips it, even under parallel test load.
+    fn drain() -> RetryPolicy {
+        ExecOptions::default().drain
     }
 
     /// A fast drain policy for fault tests: 6 windows of 25ms..800ms ≈ 1.6s
@@ -864,9 +668,15 @@ mod tests {
         RetryPolicy { max_attempts: 6, base_backoff_us: 25_000, backoff_multiplier: 2 }
     }
 
+    /// The respawn callback of a round that must not fault.
+    fn no_respawn(err: &PoolError, _: &WorkerSnapshot) -> Box<EasyScaleWorker> {
+        panic!("unexpected recovery in a fault-free round: {err}")
+    }
+
     /// A pool-test respawn callback: rebuild the slot's worker from the
     /// job config, its placement slot, a param mirror, and the recovery
-    /// snapshot — the same recipe the engine uses, minus the engine.
+    /// snapshot — the engine's recipe ([`EasyScaleWorker::restored`]),
+    /// minus the engine.
     fn respawner<'a>(
         cfg: &'a JobConfig,
         placement: &'a Placement,
@@ -876,75 +686,62 @@ mod tests {
         move |err, snap| {
             log.push(err.clone());
             let slot = &placement.slots[err.worker()];
-            let mut w = EasyScaleWorker::new(cfg, slot);
-            w.load_flat_params(mirror);
-            w.restore_pool(&snap.loader);
-            w.set_contexts(snap.contexts.clone());
-            Box::new(w)
+            Box::new(EasyScaleWorker::restored(cfg, slot, mirror, snap))
+        }
+    }
+
+    fn assert_steps_bitwise_equal(mut a: Vec<LocalStep>, mut b: Vec<LocalStep>, what: &str) {
+        a.sort_by_key(|l| l.vrank);
+        b.sort_by_key(|l| l.vrank);
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.vrank, y.vrank, "{what}");
+            assert_eq!(x.loss.to_bits(), y.loss.to_bits(), "{what}");
+            assert!(x.grad.iter().zip(&y.grad).all(|(p, q)| p.to_bits() == q.to_bits()), "{what}");
         }
     }
 
     #[test]
     fn pool_steps_match_sequential_workers_bitwise() {
-        let (_, pooled) = make_workers(4, 2);
-        let (_, mut seq) = make_workers(4, 2);
-        let mut pool = WorkerPool::spawn(pooled, &[], RetryPolicy::default());
-        for _ in 0..3 {
-            let mut a = pool.run_steps(0, 0.05);
-            let mut b: Vec<LocalStep> = seq.iter_mut().flat_map(|w| w.run_local_steps()).collect();
-            a.sort_by_key(|l| l.vrank);
-            b.sort_by_key(|l| l.vrank);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.vrank, y.vrank);
-                assert_eq!(x.loss.to_bits(), y.loss.to_bits());
-                assert!(x.grad.iter().zip(&y.grad).all(|(p, q)| p.to_bits() == q.to_bits()));
-            }
+        let (_, _, pooled) = make_workers(4, 2);
+        let (_, _, mut seq) = make_workers(4, 2);
+        let mut pool = WorkerPool::spawn(pooled, &[], drain());
+        for round in 0..3 {
+            let (a, errors) = pool.run_steps(0, 0.05, &mut no_respawn);
+            assert!(errors.is_empty());
+            let b: Vec<LocalStep> = seq.iter_mut().flat_map(|w| w.run_local_steps()).collect();
+            assert_steps_bitwise_equal(a, b, &format!("round {round}"));
         }
     }
 
     #[test]
     fn threads_persist_across_rounds() {
-        let (_, workers) = make_workers(4, 4);
-        let mut pool = WorkerPool::spawn(workers, &[10, 11, 12, 13], RetryPolicy::default());
+        let (_, _, workers) = make_workers(4, 4);
+        let mut pool = WorkerPool::spawn(workers, &[10, 11, 12, 13], drain());
         assert_eq!(pool.stats(), PoolStats { workers: 4, steps_served: 0 });
         for _ in 0..3 {
-            // run_steps itself asserts each batch's thread id equals the
-            // spawn-time id, so passing three rounds proves no respawn.
-            pool.run_steps(0, 0.05);
+            // A batch from any thread but the spawn-time one is never
+            // consumed, so a clean round (no recovery, and a respawn would
+            // panic) was served by the original threads.
+            let (_, errors) = pool.run_steps(0, 0.05, &mut no_respawn);
+            assert!(errors.is_empty());
         }
         assert_eq!(pool.stats(), PoolStats { workers: 4, steps_served: 3 });
     }
 
     #[test]
-    fn lend_and_restore_round_trip() {
-        let (_, workers) = make_workers(2, 2);
-        let mut pool = WorkerPool::spawn(workers, &[], RetryPolicy::default());
-        let w = pool.lend(1);
-        assert!(!w.flat_params().is_empty());
-        pool.restore(1, w);
-        // The restored worker still steps: the next round must include its
-        // ESTs.
-        let locals = pool.run_steps(0, 0.05);
-        assert_eq!(locals.len(), 2);
-        let snaps = pool.snapshots();
-        assert_eq!(snaps.len(), 2);
-        assert_eq!(snaps[1].contexts.len(), 1);
-    }
-
-    #[test]
     fn apply_lands_before_later_commands() {
-        let (_, workers) = make_workers(2, 1);
-        let pool = WorkerPool::spawn(workers, &[], RetryPolicy::default());
-        let w = pool.lend(0);
-        let before = w.flat_params();
-        pool.restore(0, w);
-        let delta = Arc::new(vec![0.5f32; before.len()]);
+        let (_, _, workers) = make_workers(2, 1);
+        let (_, _, mut seq) = make_workers(2, 1);
+        let mut pool = WorkerPool::spawn(workers, &[], drain());
+        let delta = Arc::new(vec![0.5f32; seq[0].flat_params().len()]);
         pool.apply(&delta);
-        // FIFO command ordering: the lend behind the apply must observe it.
-        let after = pool.lend(0);
-        assert!(after.flat_params().iter().zip(&before).all(|(a, b)| (a - b - 0.5).abs() < 1e-6));
-        pool.restore(0, after);
+        seq[0].apply_update(&delta);
+        // FIFO command ordering: the step behind the apply must observe it,
+        // so its gradients are those of a worker that applied the delta.
+        let (a, errors) = pool.run_steps(0, 0.05, &mut no_respawn);
+        assert!(errors.is_empty());
+        assert_steps_bitwise_equal(a, seq[0].run_local_steps(), "step after apply");
     }
 
     /// Every injected [`ThreadFault`] is detected, the worker is replaced,
@@ -956,15 +753,9 @@ mod tests {
             (ThreadFault::Stall, "drain-timeout"),
             (ThreadFault::ReplyDrop, "drain-timeout"),
         ] {
-            let n_ests = 4u32;
-            let gpus = 2u32;
-            let cfg = JobConfig::new(Workload::ResNet18, 7, n_ests).with_dataset_len(128);
-            let placement = Placement::homogeneous(n_ests, gpus, GpuType::V100);
-            let workers: Vec<EasyScaleWorker> =
-                placement.slots.iter().map(|s| EasyScaleWorker::new(&cfg, s)).collect();
+            let (cfg, placement, workers) = make_workers(4, 2);
             let mirror = workers[0].flat_params();
-            let (_, reference) = make_workers(n_ests, gpus);
-            let mut seq = reference;
+            let (_, _, mut seq) = make_workers(4, 2);
 
             let mut pool = WorkerPool::spawn(workers, &[], fast_drain());
             let mut log = Vec::new();
@@ -972,7 +763,7 @@ mod tests {
             assert_eq!(armed, 1);
             let (steps, errors) = {
                 let mut respawn = respawner(&cfg, &placement, &mirror, &mut log);
-                pool.run_steps_supervised(0, 0.05, &mut respawn)
+                pool.run_steps(0, 0.05, &mut respawn)
             };
             assert_eq!(errors.len(), 1, "{fault:?}: exactly one recovery");
             assert_eq!(errors[0].worker(), 1);
@@ -985,61 +776,17 @@ mod tests {
             // Bitwise identity with the sequential reference, this round
             // and (replacement in service) the next.
             for round in 0..2 {
-                let mut a = if round == 0 {
+                let a = if round == 0 {
                     steps.clone()
                 } else {
                     let mut respawn = respawner(&cfg, &placement, &mirror, &mut log);
-                    let (s, e) = pool.run_steps_supervised(0, 0.05, &mut respawn);
+                    let (s, e) = pool.run_steps(0, 0.05, &mut respawn);
                     assert!(e.is_empty(), "round 1 must be clean");
                     s
                 };
-                let mut b: Vec<LocalStep> =
-                    seq.iter_mut().flat_map(|w| w.run_local_steps()).collect();
-                a.sort_by_key(|l| l.vrank);
-                b.sort_by_key(|l| l.vrank);
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.vrank, y.vrank);
-                    assert_eq!(x.loss.to_bits(), y.loss.to_bits(), "{fault:?} round {round}");
-                    assert!(x.grad.iter().zip(&y.grad).all(|(p, q)| p.to_bits() == q.to_bits()));
-                }
+                let b: Vec<LocalStep> = seq.iter_mut().flat_map(|w| w.run_local_steps()).collect();
+                assert_steps_bitwise_equal(a, b, &format!("{fault:?} round {round}"));
             }
-        }
-    }
-
-    /// Supervised snapshots replace a stalled worker and return the exact
-    /// state it owed.
-    #[test]
-    fn supervised_snapshots_recover_a_stalled_worker() {
-        let n_ests = 2u32;
-        let gpus = 2u32;
-        let cfg = JobConfig::new(Workload::ResNet18, 7, n_ests).with_dataset_len(128);
-        let placement = Placement::homogeneous(n_ests, gpus, GpuType::V100);
-        let workers: Vec<EasyScaleWorker> =
-            placement.slots.iter().map(|s| EasyScaleWorker::new(&cfg, s)).collect();
-        let mirror = workers[0].flat_params();
-        let mut pool = WorkerPool::spawn(workers, &[], fast_drain());
-        let mut log = Vec::new();
-
-        // Reference snapshots from a clean round.
-        let clean = pool.snapshots();
-
-        // Stall worker 0 (consumed at the next Step), then snapshot through
-        // the supervisor: the Step round recovers it, snapshots are clean.
-        pool.arm_fault(0, ThreadFault::Stall);
-        let (_, step_errors) = {
-            let mut respawn = respawner(&cfg, &placement, &mirror, &mut log);
-            pool.run_steps_supervised(0, 0.05, &mut respawn)
-        };
-        assert_eq!(step_errors.len(), 1);
-        let (snaps, snap_errors) = {
-            let mut respawn = respawner(&cfg, &placement, &mirror, &mut log);
-            pool.snapshots_supervised(&mut respawn)
-        };
-        assert!(snap_errors.is_empty());
-        assert_eq!(snaps.len(), clean.len());
-        for (s, c) in snaps.iter().zip(&clean) {
-            assert_eq!(s.contexts.len(), c.contexts.len());
         }
     }
 }

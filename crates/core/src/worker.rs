@@ -11,6 +11,7 @@
 
 use crate::est::EstContext;
 use crate::placement::Slot;
+use crate::pool::WorkerSnapshot;
 use crate::JobConfig;
 use data::{
     AugmentConfig, Augmenter, DataWorkerPool, Dataset, LoaderCheckpoint, ShardedLoader,
@@ -118,6 +119,25 @@ impl EasyScaleWorker {
             autotuner: Autotuner::new(config.determinism.autotune_policy()),
             op_key: config.seed ^ (config.workload.name().len() as u64) << 32,
         }
+    }
+
+    /// Rebuild `slot`'s worker from engine-held state: `params` (the
+    /// engine's mirror or a checkpoint's replica) and `snap` (the slot's EST
+    /// contexts in slot order plus its loader cursors). The one restore
+    /// recipe — checkpoint restore, fault respawn and evaluation all build
+    /// their workers here, which is why each lands on the same bits as the
+    /// worker it stands in for.
+    pub fn restored(
+        config: &JobConfig,
+        slot: &Slot,
+        params: &[f32],
+        snap: &WorkerSnapshot,
+    ) -> Self {
+        let mut w = EasyScaleWorker::new(config, slot);
+        w.load_flat_params(params);
+        w.restore_pool(&snap.loader);
+        w.set_contexts(snap.contexts.clone());
+        w
     }
 
     /// The GPU type this worker occupies.

@@ -7,9 +7,11 @@
 //! — a from-scratch oracle built on the *scalar* ring kernel, proving the
 //! vectorized `ring_allreduce` changed no accumulation tree in the merge.
 
-use comm::{ring_allreduce_scalar, ElasticDdp, RetryPolicy, RingSpec};
+use comm::{ring_allreduce_scalar, ElasticDdp, RingSpec};
 use device::GpuType;
-use easyscale::{EasyScaleWorker, JobConfig, Placement, WorkerPool};
+use easyscale::{
+    EasyScaleWorker, ExecOptions, JobConfig, Placement, PoolError, WorkerPool, WorkerSnapshot,
+};
 use models::Workload;
 
 /// Scalar-oracle allreduce-average: per bucket, the element-outer /
@@ -40,9 +42,13 @@ fn pool_gradients_allreduce_to_the_scalar_oracle_bitwise() {
         let workers: Vec<EasyScaleWorker> =
             placement.slots.iter().map(|s| EasyScaleWorker::new(&cfg, s)).collect();
         let sizes = workers[0].model().param_sizes();
-        let mut pool = WorkerPool::spawn(workers, &[], RetryPolicy::default());
+        let mut pool = WorkerPool::spawn(workers, &[], ExecOptions::default().drain);
 
-        let mut locals = pool.run_steps(0, 0.05);
+        let mut no_respawn = |err: &PoolError, _: &WorkerSnapshot| -> Box<EasyScaleWorker> {
+            panic!("unexpected recovery in a fault-free round: {err}")
+        };
+        let (mut locals, errors) = pool.run_steps(0, 0.05, &mut no_respawn);
+        assert!(errors.is_empty());
         locals.sort_by_key(|l| l.vrank);
         let grads: Vec<Vec<f32>> = locals.into_iter().map(|l| l.grad).collect();
         let ddp = ElasticDdp::new(&sizes, cfg.n_ests, cfg.bucket_cap_bytes);

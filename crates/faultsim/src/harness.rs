@@ -1176,8 +1176,6 @@ impl FaultHarness {
             }
         }
 
-        // Recoveries from the final round's checkpoint drain, if any.
-        self.absorb_pool_recoveries();
         let engine = self.engine.take().expect("live engine");
         self.report.final_gpus = self.current_gpus();
         self.report.sim_elapsed_us = self.clock.now_us();

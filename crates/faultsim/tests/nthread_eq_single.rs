@@ -4,8 +4,8 @@
 //! fault schedules, and rescale points.
 //!
 //! Why this is the right correctness statement: the persistent worker pool
-//! (`core::pool`) runs local steps and merge-side reductions concurrently,
-//! so OS scheduling is free to interleave them any way it likes. Every
+//! (`core::pool`) runs the workers' local steps concurrently, so OS
+//! scheduling is free to interleave them any way it likes. Every
 //! channel the results cross back on is drained in canonical order
 //! (docs/PARALLELISM.md), so the *only* observable difference between
 //! `ExecMode::Pool` and `ExecMode::SingleThread` should be wall-clock —

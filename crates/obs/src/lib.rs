@@ -192,13 +192,15 @@ pub(crate) fn json_object(fields: Vec<(&str, Value)>) -> Value {
     Value::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// The registry is global, so every test that toggles it (in any module of
+/// this crate) serializes on this.
+#[cfg(test)]
+static TEST_GUARD: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sink::MemorySink;
-
-    /// The registry is global, so tests that toggle it serialize on this.
-    static TEST_GUARD: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disabled_recording_is_a_no_op() {

@@ -69,7 +69,6 @@ fn main() {
     let e = elastic.unwrap();
     assert_eq!(reference.flat_params(), e.flat_params());
     let eval = e.eval_dataset(512);
-    let mut e = e;
     let acc = e.evaluate(eval.as_ref(), 64);
     println!(
         "\n✓ survived 5 reconfigurations, {} global steps, final accuracy {:.3}",
